@@ -1,8 +1,8 @@
 //! Benchmarks of the scenario-parallel driver and the hot-path kernels it
-//! leans on: the event-queue `pop_due` fast path, the memoized device-model
-//! prediction, the staged buffer-cache probe, the bus-slowdown lookup
-//! table, O(1) report building, one full mix scenario, and grid throughput
-//! at 1 vs all workers.
+//! leans on: the event-queue `pop_due` fast path, device-model prediction
+//! (static and online), the staged buffer-cache probe, the bus-slowdown
+//! lookup table, O(1) report building, one full mix scenario, and grid
+//! throughput at 1 vs all workers.
 //!
 //! `scripts/bench_snapshot.sh` runs this with `CRITERION_JSON_OUT` set and
 //! packages the results as `BENCH_driver.json`.
@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nvhsm_cache::{AccessClass, BypassCache, LrfuCache};
 use nvhsm_core::manager::{NetworkCosts, PolicyEngine, ResidentInfo};
 use nvhsm_core::migration::ActiveMigration;
-use nvhsm_core::training::{pretrain_models, PerfModelSource};
+use nvhsm_core::training::pretrain_models;
 use nvhsm_core::{
     shard_summaries, DatastoreId, Manager, MigrationMode, NodeConfig, NodeSim, OnlineModelConfig,
     OnlineModels, PolicyKind, RefitPolicy, ServingConfig, ServingSim, ShardedPolicyEngine, VmdkId,
@@ -113,7 +113,7 @@ fn bench_pop_due(c: &mut Criterion) {
     });
 }
 
-fn bench_predict_memo(c: &mut Criterion) {
+fn bench_predict(c: &mut Criterion) {
     let models = pretrain_models(40, 7);
     let mut rng = SimRng::new(8);
     let probes: Vec<Features> = (0..64)
@@ -142,21 +142,9 @@ fn bench_predict_memo(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    c.bench_function("driver/predict_memo_64x8", |b| {
-        b.iter(|| {
-            models.clear_prediction_memo();
-            let mut acc = 0.0;
-            for _ in 0..PASSES {
-                for f in &probes {
-                    acc += models.predict_us(DeviceKind::Ssd, f);
-                }
-            }
-            black_box(acc)
-        })
-    });
     // The online source with a learned correction installed: the worst
-    // case the epoch-decision hot path can hit (memoized base lookup plus
-    // one residual-tree walk per prediction).
+    // case the epoch-decision hot path can hit (base tree walk plus one
+    // residual-tree walk per prediction).
     let mut online = OnlineModels::new(
         pretrain_models(40, 7),
         OnlineModelConfig {
@@ -174,7 +162,6 @@ fn bench_predict_memo(c: &mut Criterion) {
     assert!(online.has_correction(DeviceKind::Ssd));
     c.bench_function("driver/predict_online_64x8", |b| {
         b.iter(|| {
-            PerfModelSource::clear_prediction_memo(&online);
             let mut acc = 0.0;
             for _ in 0..PASSES {
                 for f in &probes {
@@ -189,7 +176,7 @@ fn bench_predict_memo(c: &mut Criterion) {
 fn bench_cache_probe(c: &mut Criterion) {
     // The staged datapath probes the node's buffer cache on every
     // foreground request before device submission, so the warm-hit probe
-    // is a per-request kernel like the memoized prediction above. Same
+    // is a per-request kernel like the model prediction above. Same
     // shape: 64 resident blocks, 8 passes per iteration.
     const PASSES: usize = 8;
     const WORKING_SET: u64 = 64;
@@ -447,7 +434,7 @@ fn bench_single_scenario(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_pop_due,
-    bench_predict_memo,
+    bench_predict,
     bench_cache_probe,
     bench_bus_lut,
     bench_report_build,

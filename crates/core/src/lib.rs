@@ -26,8 +26,9 @@
 //!   [`manager::PolicyEngine`] seam.
 //! * [`net`] — the deterministic cluster interconnect: one full-duplex
 //!   link per node with FIFO contention and a bounded in-flight window.
-//! * [`cluster`] — [`ClusterSim`]: multiple nodes with cross-node
-//!   migrations over the [`net`] interconnect.
+//! * [`cluster`] — [`ClusterReport`]: a multi-node [`NodeSim`] run with
+//!   cross-node migrations over the [`net`] interconnect, plus per-link
+//!   statistics.
 //!
 //! # Examples
 //!
@@ -55,7 +56,7 @@ pub mod serving;
 pub mod training;
 pub mod vmdk;
 
-pub use cluster::{ClusterConfig, ClusterReport, ClusterSim};
+pub use cluster::ClusterReport;
 pub use datastore::{Datastore, DatastoreId};
 pub use manager::{
     shard_summaries, Manager, MigrationDecision, NetworkCosts, PolicyEngine, ShardSummary,
@@ -70,7 +71,5 @@ pub use node::{
 pub use online::{ModelSource, OnlineModelConfig, OnlineModels, RefitPolicy};
 pub use policy::PolicyKind;
 pub use serving::{ServingConfig, ServingReport, ServingSim};
-pub use training::{
-    pretrain_models, ModelEvent, ModelObservation, ModelSourceStats, PerfModelSource,
-};
+pub use training::{pretrain_models, ModelEvent, ModelObservation, ModelSourceStats};
 pub use vmdk::{Vmdk, VmdkId};

@@ -11,9 +11,7 @@ use crate::datastore::DatastoreId;
 use crate::migration::{migration_benefit_us, migration_cost_us, MigrationMode, UnitCosts};
 use crate::online::ModelSource;
 use crate::policy::PolicyKind;
-use crate::training::{
-    DeviceModels, ModelEvent, ModelObservation, ModelSourceStats, PerfModelSource,
-};
+use crate::training::{DeviceModels, ModelEvent, ModelObservation, ModelSourceStats};
 use crate::vmdk::VmdkId;
 use nvhsm_device::{DeviceKind, EpochStats};
 use nvhsm_model::Features;
@@ -371,9 +369,6 @@ impl Manager {
         observations: &[DeviceObservation],
         migration_active: bool,
     ) -> Option<MigrationDecision> {
-        // New epoch, new feature vectors: memoized predictions from the
-        // previous epoch can never hit again.
-        self.source.clear_prediction_memo();
         let mut diag = EpochDiagnostics::default();
         // Raw per-device latencies (Eq. 5): the paper compares device
         // performance directly, which is what drives load toward the fast

@@ -150,8 +150,8 @@ pub fn shard_summaries(
 /// shards and keeps every Eq. 4/5 model scan O(shard), not O(cluster).
 ///
 /// Wraps an unsharded [`Manager`]; all Eq. 4–7 arithmetic (including
-/// debounce state and the prediction memo) lives in the inner manager and
-/// is driven with per-shard observation slices.
+/// debounce state and the model source) lives in the inner manager and is
+/// driven with per-shard observation slices.
 #[derive(Debug)]
 pub struct ShardedPolicyEngine {
     inner: Manager,

@@ -13,10 +13,10 @@
 //!   write-back counts as an I/O error but never fails the foreground
 //!   request).
 //! * **Writes** are absorbed at the stage (dirty admission) at hit
-//!   latency; every [`NodeCacheConfig::persist_interval`]-th absorbed
-//!   write instead flows through the device as a persist-barrier write
-//!   and leaves a clean cached copy — mirroring the device model's
-//!   barrier-interval persist chain one layer up.
+//!   latency; every `PERSIST_INTERVAL`-th absorbed write instead flows
+//!   through the device as a persist-barrier write and leaves a clean
+//!   cached copy — mirroring the device model's barrier-interval persist
+//!   chain one layer up.
 //! * **Migration-sweep reads** ([`super::mirror`]'s copy rounds) consult
 //!   the stage through a *structurally* distinct entry
 //!   (`NodeSim::cache_sweep_read`): the bypass verdict comes from the
@@ -46,6 +46,16 @@ use nvhsm_device::{DeviceKind, IoCompletion, IoError, IoOp, IoRequest};
 use nvhsm_obs::{emit, TraceEvent};
 use nvhsm_sim::{SimDuration, SimTime};
 
+/// LRFU decay λ (Table 4 uses 0.05).
+const LRFU_LAMBDA: f64 = 0.05;
+/// Service time of a cache hit (DRAM-side, no flash involved).
+const HIT_LATENCY: SimDuration = SimDuration::from_us(2);
+/// Per-epoch multiplicative decay of the hot/cold classifier.
+const CLASSIFIER_DECAY: f64 = 0.5;
+/// Absorbed writes per persist barrier: every Nth write flows through the
+/// device as an ordered persist write instead of being absorbed.
+const PERSIST_INTERVAL: u32 = 8;
+
 /// Configuration of the staged node-level buffer cache.
 ///
 /// `capacity_blocks == 0` (or `NodeConfig.cache == None`) disables the
@@ -55,22 +65,13 @@ use nvhsm_sim::{SimDuration, SimTime};
 pub struct NodeCacheConfig {
     /// Cache capacity in 4 KiB blocks per node. Zero disables the stage.
     pub capacity_blocks: usize,
-    /// LRFU decay λ (Table 4 uses 0.05).
-    pub lambda: f64,
-    /// Service time of a cache hit (DRAM-side, no flash involved).
-    pub hit_latency: SimDuration,
     /// §5.3.2 structural bypass: migration-sweep reads skip the cache.
     pub sweep_bypass: bool,
     /// Classifier-gated admission: reads of classifier-cold VMDKs are not
     /// admitted on miss (one-shot traffic cannot evict the working set).
     pub classified_admission: bool,
-    /// Per-epoch multiplicative decay of the hot/cold classifier.
-    pub classifier_decay: f64,
     /// Decayed-score threshold at or above which a VMDK is hot.
     pub classifier_hot_threshold: f64,
-    /// Absorbed writes per persist barrier: every Nth write flows through
-    /// the device as an ordered persist write instead of being absorbed.
-    pub persist_interval: u32,
 }
 
 impl NodeCacheConfig {
@@ -79,13 +80,9 @@ impl NodeCacheConfig {
     pub fn paper_scale() -> Self {
         NodeCacheConfig {
             capacity_blocks: 102_400,
-            lambda: 0.05,
-            hit_latency: SimDuration::from_us(2),
             sweep_bypass: true,
             classified_admission: false,
-            classifier_decay: 0.5,
             classifier_hot_threshold: 64.0,
-            persist_interval: 8,
         }
     }
 
@@ -135,9 +132,9 @@ pub(crate) struct CacheStage {
 impl CacheStage {
     pub(crate) fn new(cfg: NodeCacheConfig, nodes: usize) -> Self {
         let caches = (0..nodes)
-            .map(|_| BypassCache::new(LrfuCache::new(cfg.capacity_blocks, cfg.lambda)))
+            .map(|_| BypassCache::new(LrfuCache::new(cfg.capacity_blocks, LRFU_LAMBDA)))
             .collect();
-        let classifier = HotColdClassifier::new(cfg.classifier_decay, cfg.classifier_hot_threshold);
+        let classifier = HotColdClassifier::new(CLASSIFIER_DECAY, cfg.classifier_hot_threshold);
         CacheStage {
             cfg,
             caches,
@@ -355,13 +352,13 @@ impl NodeSim {
         arrival: SimTime,
         home_node: usize,
     ) -> Result<IoCompletion, IoError> {
-        let (class, hit_latency, all_cached) = {
+        let (class, all_cached) = {
             let Some(stage) = self.cache.as_ref() else {
                 return self.service_block(ds, *io, arrival, home_node);
             };
             let all = (io.block..io.block + io.size_blocks as u64)
                 .all(|b| stage.caches[node].contains(b));
-            (stage.read_class(vmdk), stage.cfg.hit_latency, all)
+            (stage.read_class(vmdk), all)
         };
         if all_cached {
             // Hit: short-circuit device submission. The payload of a
@@ -389,7 +386,7 @@ impl NodeSim {
                 });
             }
             self.stage_settle(ds, node, &s, arrival);
-            let served = arrival + hit_latency;
+            let served = arrival + HIT_LATENCY;
             let done = if node != home_node {
                 self.net_transfer(node, home_node, io.size_blocks as u64 * 4096, served)
             } else {
@@ -431,16 +428,16 @@ impl NodeSim {
         arrival: SimTime,
         home_node: usize,
     ) -> Result<IoCompletion, IoError> {
-        let (hit_latency, persist) = {
+        let persist = {
             let Some(stage) = self.cache.as_mut() else {
                 return self.service_block(ds, *io, arrival, home_node);
             };
             stage.writes_since_persist[node] += io.size_blocks;
-            let persist = stage.writes_since_persist[node] >= stage.cfg.persist_interval;
+            let persist = stage.writes_since_persist[node] >= PERSIST_INTERVAL;
             if persist {
                 stage.writes_since_persist[node] = 0;
             }
-            (stage.cfg.hit_latency, persist)
+            persist
         };
         if persist {
             // Barrier write: ordered through the device's persist chain;
@@ -461,7 +458,7 @@ impl NodeSim {
         let submit_at = self.net_transfer(home_node, node, io.size_blocks as u64 * 4096, arrival);
         self.stage_note_served(io.stream);
         let s = self.stage_access_blocks(node, io.block, io.size_blocks, true, AccessClass::Normal);
-        let done = submit_at + hit_latency;
+        let done = submit_at + HIT_LATENCY;
         if s.all_hit {
             emit(&self.trace, || TraceEvent::CacheHit {
                 t: arrival.as_ns(),
@@ -499,11 +496,7 @@ impl NodeSim {
         if self.effective_faults.is_some() && self.store_health(ds) == DeviceHealth::Offline {
             return None;
         }
-        let (sweep_bypass, hit_latency) = {
-            let stage = self.cache.as_ref()?;
-            (stage.cfg.sweep_bypass, stage.cfg.hit_latency)
-        };
-        if sweep_bypass {
+        if self.cache.as_ref()?.cfg.sweep_bypass {
             let s = self.stage_access_blocks(node, block, 1, false, AccessClass::Migrated);
             emit(&self.trace, || TraceEvent::CacheBypass {
                 t: at.as_ns(),
@@ -519,7 +512,7 @@ impl NodeSim {
             // A bypass hit serves the copy from cache without promotion;
             // a bypass miss reads the device without admission. Either
             // way the cache contents are untouched.
-            s.hits.gt(&0).then(|| at + hit_latency)
+            s.hits.gt(&0).then(|| at + HIT_LATENCY)
         } else {
             let s = self.stage_access_blocks(node, block, 1, false, AccessClass::Normal);
             let hit = s.all_hit;
@@ -541,7 +534,7 @@ impl NodeSim {
                 });
             }
             self.stage_settle(ds, node, &s, at);
-            hit.then(|| at + hit_latency)
+            hit.then(|| at + HIT_LATENCY)
         }
     }
 
@@ -575,7 +568,7 @@ impl NodeSim {
         if let Some(stage) = self.cache.as_mut() {
             if let Some(c) = stage.caches.get_mut(node) {
                 let cfg = &stage.cfg;
-                *c = BypassCache::new(LrfuCache::new(cfg.capacity_blocks, cfg.lambda));
+                *c = BypassCache::new(LrfuCache::new(cfg.capacity_blocks, LRFU_LAMBDA));
             }
             if let Some(w) = stage.writes_since_persist.get_mut(node) {
                 *w = 0;

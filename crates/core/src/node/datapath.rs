@@ -35,8 +35,12 @@ use crate::migration::MigrationMode;
 use crate::vmdk::VmdkId;
 use nvhsm_device::{DeviceKind, IoCompletion, IoError, IoOp, IoRequest};
 use nvhsm_obs::{emit, TraceEvent};
-use nvhsm_sim::SimTime;
+use nvhsm_sim::{SimDuration, SimTime};
 use nvhsm_workload::{GenOp, GenRequest};
+
+/// Closed-loop backpressure threshold: a request slower than this stalls
+/// its workload until completion.
+const BACKPRESSURE: SimDuration = SimDuration::from_ms(20);
 
 /// Routing decision for one workload request (the admission & routing
 /// stage): which datastore serves it, and which migration bookkeeping the
@@ -310,7 +314,7 @@ impl NodeSim {
             m.counter_inc("requests", dev, node);
             m.observe("latency_us", dev, node, completion.latency.as_us_f64());
         });
-        if completion.latency > self.cfg.backpressure {
+        if completion.latency > BACKPRESSURE {
             self.workloads[wi].generator.fast_forward(completion.done);
         }
     }

@@ -55,7 +55,7 @@ impl NodeSim {
     /// (initial placement before any traffic).
     pub(crate) fn observe(&mut self, roll: bool) -> Vec<DeviceObservation> {
         let epoch_secs = self.cfg.epoch.as_secs_f64();
-        let lookahead = self.cfg.lookahead_epochs as f64 * epoch_secs;
+        let lookahead = super::LOOKAHEAD_EPOCHS as f64 * epoch_secs;
         let health: Vec<DeviceHealth> = (0..self.datastores.len())
             .map(|i| self.store_health(i))
             .collect();
@@ -276,32 +276,7 @@ impl NodeSim {
                 }
             }
         }
-        if std::env::var_os("NVHSM_TRACE").is_some() {
-            let diag = self.manager.last_diagnostics();
-            if diag.triggered && diag.vetoed {
-                eprintln!(
-                    "[{:.2}s] vetoed: perfs {:?}",
-                    self.now.as_secs_f64(),
-                    diag.normalized_perf
-                        .iter()
-                        .map(|(ds, p)| format!("{ds}={p:.0}"))
-                        .collect::<Vec<_>>()
-                );
-            }
-        }
         if let Some(d) = decision {
-            if std::env::var_os("NVHSM_TRACE").is_some() {
-                eprintln!(
-                    "[{:.2}s] perfs {:?}",
-                    self.now.as_secs_f64(),
-                    self.manager
-                        .last_diagnostics()
-                        .normalized_perf
-                        .iter()
-                        .map(|(ds, p)| format!("{ds}={p:.0}"))
-                        .collect::<Vec<_>>()
-                );
-            }
             self.start_migration(d);
         } else if !busy {
             // No balance move this epoch: check for residents stranded on

@@ -20,6 +20,9 @@ use std::sync::Arc;
 
 use super::report::MigrationEvent;
 
+/// Blocks in flight per background-copy round.
+const MIGRATION_BATCH: u32 = 64;
+
 impl NodeSim {
     /// Suspends migration `mi` at `at`, emitting the suspend event exactly
     /// once per suspension (repeat calls while already suspended keep the
@@ -41,18 +44,18 @@ impl NodeSim {
     }
 
     /// One background-copy round of migration `mi`: up to
-    /// [`super::NodeConfig::migration_batch`] blocks read from the source,
-    /// moved across the interconnect (when the endpoints straddle nodes)
-    /// and written to the destination. An offline endpoint parks the
-    /// migration; its bitmap survives for a later resume.
+    /// `MIGRATION_BATCH` blocks read from the source, moved across the
+    /// interconnect (when the endpoints straddle nodes) and written to the
+    /// destination. An offline endpoint parks the migration; its bitmap
+    /// survives for a later resume.
     pub(crate) fn copy_round(&mut self, mi: usize) {
         let m = &mut self.migrations[mi];
         let src = m.active.src.0;
         let dst = m.active.dst.0;
         let vmdk = m.active.vmdk;
         let stream = 1_000_000 + vmdk.0;
-        let mut batch = Vec::with_capacity(self.cfg.migration_batch as usize);
-        for _ in 0..self.cfg.migration_batch {
+        let mut batch = Vec::with_capacity(MIGRATION_BATCH as usize);
+        for _ in 0..MIGRATION_BATCH {
             match m.active.next_copy_block() {
                 Some(b) => batch.push(b),
                 None => break,
@@ -211,17 +214,6 @@ impl NodeSim {
             .any(|m| m.active.vmdk == decision.vmdk)
         {
             return; // already on the move
-        }
-        if std::env::var_os("NVHSM_TRACE").is_some() {
-            eprintln!(
-                "[{:.2}s] {} migrate {} {} -> {} ({:?})",
-                self.now.as_secs_f64(),
-                self.cfg.policy,
-                decision.vmdk,
-                self.datastores[decision.src.0].device().kind(),
-                self.datastores[decision.dst.0].device().kind(),
-                decision.mode,
-            );
         }
         let dst = decision.dst.0;
         let Some(w) = self.workloads.iter().find(|w| w.vmdk.id() == decision.vmdk) else {

@@ -65,15 +65,19 @@ pub use datapath::IoOutcome;
 pub use recovery::RecoveryPolicy;
 pub use report::{DeviceReport, MigrationEvent, NodeReport, PlacementError};
 
-/// Node simulation configuration.
+/// Eq. 7 lookahead for `Q_live`, in epochs.
+const LOOKAHEAD_EPOCHS: u32 = 50;
+/// Cross-node NIC one-way latency.
+const NIC_LATENCY: SimDuration = SimDuration::from_us(100);
+/// Bounded in-flight window per NIC transmit direction (see
+/// [`crate::net::NicConfig::window`]).
+const NIC_WINDOW: u32 = 32;
+
+/// Node simulation configuration. Every node carries the same laptop-scale
+/// devices: a 1 GiB NVDIMM, a 2 GiB SSD and a 4 GiB HDD, all with Table 4
+/// timing.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// NVDIMM device configuration (one per node).
-    pub nvdimm: NvdimmConfig,
-    /// SSD device configuration (one per node).
-    pub ssd: SsdConfig,
-    /// HDD device configuration (one per node).
-    pub hdd: HddConfig,
     /// Management policy.
     pub policy: PolicyKind,
     /// Imbalance threshold τ.
@@ -84,28 +88,12 @@ pub struct NodeConfig {
     pub spec: Option<SpecProgram>,
     /// Requests per training-grid point for model pretraining.
     pub train_requests: usize,
-    /// Blocks in flight per background-copy round.
-    pub migration_batch: u32,
-    /// Closed-loop backpressure threshold: a request slower than this
-    /// stalls its workload until completion.
-    pub backpressure: SimDuration,
-    /// Eq. 7 lookahead for `Q_live`, in epochs.
-    pub lookahead_epochs: u32,
     /// Cross-node NIC bandwidth, bytes/s.
     pub nic_bandwidth: u64,
-    /// Cross-node NIC one-way latency.
-    pub nic_latency: SimDuration,
-    /// Bounded in-flight window per NIC transmit direction (see
-    /// [`crate::net::NicConfig::window`]).
-    pub nic_window: u32,
     /// Deterministic fault plan, indexed by datastore. `None` runs the
     /// fault-free simulation byte-identically to builds without the fault
     /// subsystem.
     pub faults: Option<FaultPlan>,
-    /// Resubmissions allowed for a transiently failed workload request.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each further attempt.
-    pub retry_backoff: SimDuration,
     /// How long a suspended migration may wait for its endpoints to come
     /// back before it is aborted and rolled back to the source.
     pub abort_grace: SimDuration,
@@ -123,8 +111,6 @@ pub struct NodeConfig {
     /// Background scrub rate in blocks per second; 0 disables the
     /// scrubber.
     pub scrub_rate: u64,
-    /// Blocks probed per scrub tick.
-    pub scrub_batch: u32,
     /// Nodes per placement/balancing shard. `0` runs the unsharded
     /// [`Manager`]; any positive value wraps it in a
     /// [`crate::ShardedPolicyEngine`] so Eq. 4/5 scans are O(shard). A
@@ -147,33 +133,21 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// A laptop-scale configuration: 1 GiB NVDIMM, 2 GiB SSD, 4 GiB HDD
-    /// (Table 4 timing throughout), 200 ms epochs.
+    /// The laptop-scale configuration: BCA at τ = 0.5 with 200 ms epochs.
     pub fn small() -> Self {
         NodeConfig {
-            nvdimm: NvdimmConfig::small_test(),
-            ssd: SsdConfig::small_test(),
-            hdd: HddConfig::small_test(),
             policy: PolicyKind::Bca,
             tau: 0.5,
             epoch: SimDuration::from_ms(200),
             spec: None,
             train_requests: 60,
-            migration_batch: 64,
-            backpressure: SimDuration::from_ms(20),
-            lookahead_epochs: 50,
             nic_bandwidth: 125_000_000, // 1 Gb/s
-            nic_latency: SimDuration::from_us(100),
-            nic_window: 32,
             faults: None,
-            max_retries: 3,
-            retry_backoff: SimDuration::from_us(200),
             abort_grace: SimDuration::from_ms(400),
             degraded_cooldown: SimDuration::from_ms(1000),
             node_faults: None,
             recovery: RecoveryPolicy::Resume,
             scrub_rate: 0,
-            scrub_batch: 8,
             shard_nodes: 0,
             online_model: None,
             cache: None,
@@ -322,7 +296,7 @@ impl NodeSim {
         // link they round to ~0.
         let per_block_us = 4096.0 * 1e6 / cfg.nic_bandwidth as f64;
         manager.set_network(NetworkCosts {
-            hop_us: cfg.nic_latency.as_us_f64() + per_block_us,
+            hop_us: NIC_LATENCY.as_us_f64() + per_block_us,
             per_block_us,
         });
 
@@ -341,7 +315,7 @@ impl NodeSim {
             .map(|c| cache_stage::CacheStage::new(*c, nodes));
         let mut datastores = Vec::new();
         for node in 0..nodes {
-            let mut nvdimm_cfg = cfg.nvdimm.clone().with_tuning(tuning);
+            let mut nvdimm_cfg = NvdimmConfig::small_test().with_tuning(tuning);
             if stage.is_some() {
                 nvdimm_cfg.cache_blocks = 0;
             }
@@ -352,20 +326,20 @@ impl NodeSim {
             ));
             datastores.push(Datastore::new(
                 DatastoreId(datastores.len()),
-                Box::new(SsdDevice::new(cfg.ssd.clone())),
+                Box::new(SsdDevice::new(SsdConfig::small_test())),
                 node,
             ));
             datastores.push(Datastore::new(
                 DatastoreId(datastores.len()),
-                Box::new(HddDevice::new(cfg.hdd.clone())),
+                Box::new(HddDevice::new(HddConfig::small_test())),
                 node,
             ));
         }
         let net = Interconnect::new(
             NicConfig {
                 bandwidth: cfg.nic_bandwidth,
-                latency: cfg.nic_latency,
-                window: cfg.nic_window,
+                latency: NIC_LATENCY,
+                window: NIC_WINDOW,
             },
             nodes,
         );
@@ -406,10 +380,7 @@ impl NodeSim {
             .map(|p| recovery::node_events_from(p, nodes))
             .unwrap_or_default();
         let next_scrub_at = if cfg.scrub_rate > 0 {
-            SimTime::ZERO
-                + SimDuration::from_ns(
-                    (cfg.scrub_batch as u64).saturating_mul(1_000_000_000) / cfg.scrub_rate.max(1),
-                )
+            SimTime::ZERO + scrub::scrub_interval(cfg.scrub_rate)
         } else {
             SimTime::MAX
         };
@@ -625,7 +596,7 @@ impl NodeSim {
             live_blocks: (profile.iops
                 * profile.mean_size_blocks
                 * self.cfg.epoch.as_secs_f64()
-                * self.cfg.lookahead_epochs as f64) as u64,
+                * LOOKAHEAD_EPOCHS as f64) as u64,
         };
         let observations = self.observe(false);
         let Some(DatastoreId(ds)) = self
@@ -865,7 +836,7 @@ impl NodeSim {
             }
             if t == self.next_scrub_at {
                 self.scrub_tick();
-                self.next_scrub_at = t + self.scrub_interval();
+                self.next_scrub_at = t + scrub::scrub_interval(self.cfg.scrub_rate);
             }
             let mut batch = std::mem::take(&mut self.ready_buf);
             batch.clear();

@@ -3,15 +3,21 @@
 //! Devices reject I/O through the deterministic fault hooks installed from
 //! [`nvhsm_fault::FaultPlan`]; this stage turns those rejections into
 //! resubmissions with exponential backoff. Two budgets exist: the workload
-//! budget (`NodeSim::submit_with_retry`, bounded by
-//! [`super::NodeConfig::max_retries`]) whose exhaustion surfaces through
-//! the pipeline as [`super::IoOutcome::Failed`], and the generous budget
+//! budget (`NodeSim::submit_with_retry`, bounded by `MAX_RETRIES`) whose
+//! exhaustion surfaces through the pipeline as
+//! [`super::IoOutcome::Failed`], and the generous budget
 //! (`NodeSim::submit_generous`) used by abort/rollback traffic where
 //! giving up means losing a block.
 
 use super::NodeSim;
 use nvhsm_device::{IoCompletion, IoError, IoRequest};
 use nvhsm_obs::{emit, TraceEvent};
+use nvhsm_sim::SimDuration;
+
+/// Resubmissions allowed for a transiently failed workload request.
+pub(super) const MAX_RETRIES: u32 = 3;
+/// Backoff before the first retry; doubles each further attempt.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_us(200);
 
 impl NodeSim {
     /// Submits `req` with retry-and-backoff for transient errors. Offline
@@ -29,11 +35,11 @@ impl NodeSim {
                 Err(e) => {
                     self.io_errors += 1;
                     self.with_metrics(ds, |m, dev, node| m.counter_inc("io_errors", dev, node));
-                    if !e.is_retryable() || attempt >= self.cfg.max_retries {
+                    if !e.is_retryable() || attempt >= MAX_RETRIES {
                         return Err(e);
                     }
                     self.retries += 1;
-                    let backoff = self.cfg.retry_backoff * (1u64 << attempt.min(16));
+                    let backoff = RETRY_BACKOFF * (1u64 << attempt.min(16));
                     req.arrival = e.at() + backoff;
                     attempt += 1;
                     emit(&self.trace, || TraceEvent::Retry {
@@ -62,7 +68,7 @@ impl NodeSim {
                 Err(e) => {
                     self.io_errors += 1;
                     self.with_metrics(ds, |m, dev, node| m.counter_inc("io_errors", dev, node));
-                    let mut next = e.at() + self.cfg.retry_backoff * (1u64 << attempt.min(8));
+                    let mut next = e.at() + RETRY_BACKOFF * (1u64 << attempt.min(8));
                     if !e.is_retryable() {
                         if let Some(until) = self
                             .effective_faults

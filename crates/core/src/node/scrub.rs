@@ -29,16 +29,16 @@ use nvhsm_workload::{GenOp, GenRequest};
 
 use super::NodeSim;
 
-impl NodeSim {
-    /// Time between scrub ticks: one batch every
-    /// `scrub_batch / scrub_rate` seconds.
-    pub(crate) fn scrub_interval(&self) -> SimDuration {
-        SimDuration::from_ns(
-            (self.cfg.scrub_batch as u64).saturating_mul(1_000_000_000)
-                / self.cfg.scrub_rate.max(1),
-        )
-    }
+/// Blocks probed per scrub tick.
+const SCRUB_BATCH: u32 = 8;
 
+/// Time between scrub ticks at `rate` blocks per second: one batch every
+/// `SCRUB_BATCH / rate` seconds.
+pub(super) fn scrub_interval(rate: u64) -> SimDuration {
+    SimDuration::from_ns((SCRUB_BATCH as u64).saturating_mul(1_000_000_000) / rate.max(1))
+}
+
+impl NodeSim {
     /// Materializes every latent fault due by now into the per-datastore
     /// corrupt-block sets. Latents are silent until a scrub probe visits
     /// them, so lazily advancing the cursors at each tick is exact.
@@ -67,10 +67,10 @@ impl NodeSim {
         }
     }
 
-    /// One scrub tick: probe up to [`super::NodeConfig::scrub_batch`]
-    /// blocks, round-robin across resident workloads with a per-workload
-    /// offset cursor. Workloads on dark (crashed) nodes are skipped — a
-    /// powered-off device can be neither scanned nor repaired.
+    /// One scrub tick: probe up to `SCRUB_BATCH` blocks, round-robin
+    /// across resident workloads with a per-workload offset cursor.
+    /// Workloads on dark (crashed) nodes are skipped — a powered-off
+    /// device can be neither scanned nor repaired.
     pub(crate) fn scrub_tick(&mut self) {
         self.inject_latents();
         let n = self.workloads.len();
@@ -80,7 +80,7 @@ impl NodeSim {
         if self.scrub_offsets.len() < n {
             self.scrub_offsets.resize(n, 0);
         }
-        for _ in 0..self.cfg.scrub_batch {
+        for _ in 0..SCRUB_BATCH {
             let wi = self.scrub_ws % n;
             self.scrub_ws = self.scrub_ws.wrapping_add(1);
             self.scrub_probe(wi);

@@ -471,7 +471,7 @@ fn retry_stage_retries_transients_then_surfaces_the_error() {
     let err = sim.submit_with_retry(1, &req).unwrap_err();
     assert!(err.is_retryable(), "transient errors stay retryable");
     // 1 initial attempt + max_retries resubmissions, every one counted.
-    let max = sim.cfg.max_retries as u64;
+    let max = super::retry::MAX_RETRIES as u64;
     assert_eq!(sim.retries, max);
     assert_eq!(sim.io_errors, max + 1);
     // Outside the window the same stage succeeds on the first attempt.

@@ -18,7 +18,7 @@
 //! scenario refits identically at `--jobs 1` and `--jobs 4`, and the
 //! existing RNG streams (and golden traces) are untouched.
 
-use crate::training::{kind_index, DeviceModels, ModelEvent, PerfModelSource};
+use crate::training::{kind_index, DeviceModels, ModelEvent};
 use nvhsm_device::DeviceKind;
 use nvhsm_model::{Dataset, Features, FlatTree, LeafModel, PerfModel, RegTreeConfig, Sample};
 use std::collections::VecDeque;
@@ -118,8 +118,10 @@ impl KindState {
     }
 }
 
-/// An online-updating [`PerfModelSource`]: the pretrained
-/// [`DeviceModels`] plus a per-kind learned residual correction.
+const KINDS: [DeviceKind; 3] = [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd];
+
+/// An online-updating model source: the pretrained [`DeviceModels`] plus a
+/// per-kind learned residual correction.
 #[derive(Debug)]
 pub struct OnlineModels {
     base: DeviceModels,
@@ -236,12 +238,10 @@ impl OnlineModels {
         let err_after = self.window_err_us(i);
         Some((samples, err_before, err_after))
     }
-}
 
-const KINDS: [DeviceKind; 3] = [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd];
-
-impl PerfModelSource for OnlineModels {
-    fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
+    /// Predicted latency of `kind` under `features`, µs: the base tree
+    /// walk plus the kind's installed correction, if any.
+    pub fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
         let base = self.base.predict_us(kind, features);
         match &self.kinds[kind_index(kind)].correction {
             // Corrections can over- or under-shoot; a latency prediction
@@ -251,7 +251,10 @@ impl PerfModelSource for OnlineModels {
         }
     }
 
-    fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
+    /// Feeds one observed (WC, MP) pair into `kind`'s window; returns the
+    /// absolute error of the current prediction against `measured_us`,
+    /// µs. Non-finite observations are ignored (error 0).
+    pub fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
         if !measured_us.is_finite() || !features.to_array().iter().all(|v| v.is_finite()) {
             return 0.0;
         }
@@ -270,7 +273,9 @@ impl PerfModelSource for OnlineModels {
         err
     }
 
-    fn end_epoch(&mut self) -> Vec<ModelEvent> {
+    /// Closes the epoch: runs drift detection and any due refits,
+    /// returning what happened.
+    pub fn end_epoch(&mut self) -> Vec<ModelEvent> {
         let mut events = Vec::new();
         for (i, &kind) in KINDS.iter().enumerate() {
             if self.kinds[i].epoch_err_count == 0 {
@@ -312,18 +317,23 @@ impl PerfModelSource for OnlineModels {
         events
     }
 
-    fn base(&self) -> &DeviceModels {
+    /// The pretrained base models (baselines, slopes, per-block costs —
+    /// characteristics no online update touches).
+    pub fn base(&self) -> &DeviceModels {
         &self.base
-    }
-
-    fn clear_prediction_memo(&self) {
-        self.base.clear_prediction_memo();
     }
 }
 
-/// The model source a [`crate::Manager`] runs with: static dispatch over
-/// the two implementations, because `predict` sits on the epoch-decision
-/// hot path and a vtable call per candidate evaluation is measurable.
+/// The model source a [`crate::Manager`] runs with (`PP = f(WC)`, Eq. 1):
+/// the static pretrained [`DeviceModels`] or the online-updating
+/// [`OnlineModels`] that learns from observed (WC, MP) pairs. A plain
+/// enum, because `predict` sits on the epoch-decision hot path and a
+/// vtable call per candidate evaluation is measurable.
+///
+/// `observe` returns the absolute prediction error of the *pre-update*
+/// model so callers can account error without predicting twice; refits
+/// happen only inside `end_epoch`, keeping predictions stable within an
+/// epoch (and the grid driver's byte-identical guarantee intact).
 // Not boxed despite the size skew: exactly one ModelSource lives in
 // each Manager (never in collections), and boxing either variant puts
 // a pointer chase in front of every hot-path predict call.
@@ -344,41 +354,40 @@ impl ModelSource {
             None => ModelSource::Static(models),
         }
     }
-}
 
-impl PerfModelSource for ModelSource {
-    fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
+    /// Predicted latency of `kind` under `features`, µs.
+    pub fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
         match self {
             ModelSource::Static(m) => m.predict_us(kind, features),
             ModelSource::Online(m) => m.predict(kind, features),
         }
     }
 
-    fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
+    /// Feeds one observed (WC, MP) pair; returns the absolute error of
+    /// the current prediction against `measured_us`, µs. The static
+    /// source only measures the error.
+    pub fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
         match self {
-            ModelSource::Static(m) => m.observe(kind, features, measured_us),
+            ModelSource::Static(m) => (m.predict_us(kind, features) - measured_us).abs(),
             ModelSource::Online(m) => m.observe(kind, features, measured_us),
         }
     }
 
-    fn end_epoch(&mut self) -> Vec<ModelEvent> {
+    /// Closes the epoch: runs drift detection and any due refits,
+    /// returning what happened (always empty for the static source).
+    pub fn end_epoch(&mut self) -> Vec<ModelEvent> {
         match self {
-            ModelSource::Static(m) => m.end_epoch(),
+            ModelSource::Static(_) => Vec::new(),
             ModelSource::Online(m) => m.end_epoch(),
         }
     }
 
-    fn base(&self) -> &DeviceModels {
+    /// The pretrained base models (baselines, slopes, per-block costs —
+    /// characteristics no online update touches).
+    pub fn base(&self) -> &DeviceModels {
         match self {
             ModelSource::Static(m) => m,
             ModelSource::Online(m) => m.base(),
-        }
-    }
-
-    fn clear_prediction_memo(&self) {
-        match self {
-            ModelSource::Static(m) => DeviceModels::clear_prediction_memo(m),
-            ModelSource::Online(m) => PerfModelSource::clear_prediction_memo(m),
         }
     }
 }
@@ -550,17 +559,11 @@ mod tests {
                     .expect("correction installed")
                     .predict(&f))
             .max(0.0);
-            // Repeated calls are bit-identical to the uncached two-tree
-            // sum, before and after a memo clear.
+            // Repeated calls are bit-identical to the two-tree sum.
             assert_eq!(
                 online.predict(DeviceKind::Ssd, &f).to_bits(),
                 direct.to_bits()
             );
-            assert_eq!(
-                online.predict(DeviceKind::Ssd, &f).to_bits(),
-                direct.to_bits()
-            );
-            PerfModelSource::clear_prediction_memo(&online);
             assert_eq!(
                 online.predict(DeviceKind::Ssd, &f).to_bits(),
                 direct.to_bits()

@@ -13,18 +13,15 @@ use nvhsm_device::{
     DeviceKind, HddConfig, HddDevice, IoOp, IoRequest, NvdimmConfig, NvdimmDevice, SsdConfig,
     SsdDevice, StorageDevice,
 };
-use nvhsm_model::{Dataset, Features, PerfModel, Sample, NUM_FEATURES};
+use nvhsm_model::{Dataset, Features, PerfModel, Sample};
 use nvhsm_sim::{SimDuration, SimRng, SimTime};
 use nvhsm_workload::synthetic::training_grid;
 use nvhsm_workload::{GenOp, IoGenerator};
-use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Dense index of a device kind into the per-kind tables below. The
 /// tables are plain arrays rather than maps: `predict_us` sits on the
-/// epoch-decision hot path, and hashing even a one-byte enum key twice
-/// per call (gate lookup + model lookup) used to cost more than the tree
-/// walk itself.
+/// epoch-decision hot path, and hashing even a one-byte enum key per call
+/// used to cost more than the tree walk itself.
 pub(crate) const fn kind_index(kind: DeviceKind) -> usize {
     match kind {
         DeviceKind::Nvdimm => 0,
@@ -46,63 +43,6 @@ pub struct DeviceModels {
     /// Per-block sequential streaming latency per kind, µs — what a bulk
     /// migration copy actually costs (Eq. 6's per-unit terms).
     seq_block: [f64; 3],
-    /// Exact-key memo in front of tree prediction: one epoch decision
-    /// re-predicts the same resident feature vectors many times while
-    /// evaluating candidates. Keys are the raw feature bits, so a memo hit
-    /// returns exactly what the tree would (see `predict_us`). Interior
-    /// mutability keeps the prediction API `&self`; the manager clears it
-    /// once per epoch so it never outlives the features it caches.
-    memo: RefCell<HashMap<(DeviceKind, [u64; NUM_FEATURES]), f64, BuildFnvHasher>>,
-    /// Per-kind gate on the memo: hashing a 56-byte key costs more than
-    /// walking a shallow tree, so only kinds whose trees are at least
-    /// [`MEMO_MIN_LEAVES`] leaves deep use the memo at all. Either path is
-    /// bit-identical — the memo can only ever return a value the same
-    /// tree produced for the same feature bits.
-    memo_enabled: [bool; 3],
-}
-
-/// Minimum leaf count before memoizing a kind's predictions pays for the
-/// key hash. Measured on this workspace's FNV memo: a ~30-leaf tree walks
-/// in roughly the time the hash+probe costs; the small pretrained trees
-/// (tens of leaves) lose 3–4× by memoizing, while trees hundreds of
-/// leaves deep win.
-const MEMO_MIN_LEAVES: usize = 64;
-
-/// FNV-1a over the raw key bytes. The memo key is 56 bytes of feature
-/// bits, which the default SipHash hasher turns into the dominant cost of
-/// a memo hit; FNV keeps the hit path cheaper than re-walking the tree.
-struct FnvHasher(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // The key is almost entirely u64 feature bits; folding each word
-        // in one multiply instead of eight keeps hashing off the profile.
-        self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
-    }
-}
-
-#[derive(Default, Clone)]
-struct BuildFnvHasher;
-
-impl std::hash::BuildHasher for BuildFnvHasher {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(FNV_OFFSET)
-    }
 }
 
 impl DeviceModels {
@@ -126,31 +66,10 @@ impl DeviceModels {
         self.seq_block[kind_index(kind)]
     }
 
-    /// Model prediction for `kind`, memoized only when the kind's tree is
-    /// large enough that the memo wins (see `MEMO_MIN_LEAVES`): shallow
-    /// trees re-walk directly, because hashing the 56-byte key costs more
-    /// than the walk it would save. Bit-for-bit identical to
-    /// `self.model(kind).predict(features)` on both paths — the memo key
-    /// is the exact bit pattern of the feature vector, so a hit can only
-    /// return a value the tree itself produced for those same bits.
+    /// Model prediction for `kind` under `features`, µs (`PP = f(WC)`,
+    /// Eq. 1): one walk of the kind's pretrained tree.
     pub fn predict_us(&self, kind: DeviceKind, features: &Features) -> f64 {
-        let i = kind_index(kind);
-        if !self.memo_enabled[i] {
-            return self.models[i].predict(features);
-        }
-        let key = (kind, features.to_array().map(f64::to_bits));
-        *self
-            .memo
-            .borrow_mut()
-            .entry(key)
-            .or_insert_with(|| self.models[i].predict(features))
-    }
-
-    /// Drops all memoized predictions. Called once per management epoch:
-    /// feature vectors change between epochs, so stale entries would only
-    /// grow the map without ever hitting.
-    pub fn clear_prediction_memo(&self) {
-        self.memo.borrow_mut().clear();
+        self.models[kind_index(kind)].predict(features)
     }
 }
 
@@ -218,56 +137,6 @@ impl ModelSourceStats {
         } else {
             self.err_sum_us / self.err_count as f64
         }
-    }
-}
-
-/// A pluggable source of device-performance predictions (`PP = f(WC)`,
-/// Eq. 1): the static pretrained [`DeviceModels`] or an online-updating
-/// variant that learns from observed (WC, MP) pairs.
-///
-/// `observe` returns the absolute prediction error of the *pre-update*
-/// model so callers can account error without predicting twice; refits
-/// happen only inside `end_epoch`, keeping predictions stable within an
-/// epoch (and the grid driver's byte-identical guarantee intact).
-pub trait PerfModelSource {
-    /// Predicted latency of `kind` under `features`, µs.
-    fn predict(&self, kind: DeviceKind, features: &Features) -> f64;
-
-    /// Feeds one observed (WC, MP) pair; returns the absolute error of
-    /// the current prediction against `measured_us`, µs.
-    fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64;
-
-    /// Closes the epoch: runs drift detection and any due refits,
-    /// returning what happened (empty for static sources).
-    fn end_epoch(&mut self) -> Vec<ModelEvent>;
-
-    /// The pretrained base models (baselines, slopes, per-block costs —
-    /// characteristics no online update touches).
-    fn base(&self) -> &DeviceModels;
-
-    /// Drops memoized predictions (called once per management epoch).
-    fn clear_prediction_memo(&self);
-}
-
-impl PerfModelSource for DeviceModels {
-    fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
-        self.predict_us(kind, features)
-    }
-
-    fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
-        (self.predict_us(kind, features) - measured_us).abs()
-    }
-
-    fn end_epoch(&mut self) -> Vec<ModelEvent> {
-        Vec::new()
-    }
-
-    fn base(&self) -> &DeviceModels {
-        self
-    }
-
-    fn clear_prediction_memo(&self) {
-        DeviceModels::clear_prediction_memo(self);
     }
 }
 
@@ -458,17 +327,11 @@ pub fn pretrain_models(requests_per_point: usize, seed: u64) -> DeviceModels {
     let slopes = std::array::from_fn(|i| chars[i].slope_us_per_oio);
     let seq_block = std::array::from_fn(|i| chars[i].seq_block_us);
     let models = chars.map(|c| c.model);
-
-    let memo_enabled = models
-        .each_ref()
-        .map(|m| m.tree().leaf_count() >= MEMO_MIN_LEAVES);
     DeviceModels {
         models,
         baselines,
         slopes,
         seq_block,
-        memo: RefCell::new(HashMap::with_hasher(BuildFnvHasher)),
-        memo_enabled,
     }
 }
 
@@ -504,36 +367,10 @@ mod tests {
             };
             for kind in [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd] {
                 let direct = m.model(kind).predict(&f);
-                // First call populates the memo, second call hits it; both
-                // must be bit-identical to the uncached tree walk.
+                // Repeated calls are bit-identical to the direct tree walk.
                 assert_eq!(m.predict_us(kind, &f).to_bits(), direct.to_bits());
                 assert_eq!(m.predict_us(kind, &f).to_bits(), direct.to_bits());
             }
-        }
-        m.clear_prediction_memo();
-        let f = Features::default();
-        assert_eq!(
-            m.predict_us(DeviceKind::Ssd, &f).to_bits(),
-            m.model(DeviceKind::Ssd).predict(&f).to_bits()
-        );
-    }
-
-    #[test]
-    fn memo_gate_follows_tree_size() {
-        let m = pretrain_models(40, 13);
-        for kind in [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd] {
-            let gated = m.memo_enabled[kind_index(kind)];
-            let leaves = m.model(kind).tree().leaf_count();
-            assert_eq!(
-                gated,
-                leaves >= MEMO_MIN_LEAVES,
-                "{kind:?}: {leaves} leaves"
-            );
-            // Gated or not, repeated predictions agree bit-for-bit.
-            let f = Features::default();
-            let direct = m.model(kind).predict(&f);
-            assert_eq!(m.predict_us(kind, &f).to_bits(), direct.to_bits());
-            assert_eq!(m.predict_us(kind, &f).to_bits(), direct.to_bits());
         }
     }
 

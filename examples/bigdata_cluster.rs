@@ -3,24 +3,25 @@
 //!
 //! Run with: `cargo run --release --example bigdata_cluster`
 
-use nvdimm_hsm::core::{ClusterConfig, ClusterSim, PolicyKind};
+use nvdimm_hsm::core::{NodeConfig, NodeSim, PolicyKind};
 use nvdimm_hsm::workload::hibench::all_profiles;
 use nvdimm_hsm::workload::SpecProgram;
 
 fn run_policy(policy: PolicyKind) -> (f64, u64, f64) {
-    let mut cfg = ClusterConfig::small().with_policy(policy);
-    cfg.node.spec = Some(SpecProgram::Mcf429);
-    cfg.node.train_requests = 40;
-    let mut sim = ClusterSim::new(cfg, 7);
+    let mut cfg = NodeConfig::small();
+    cfg.policy = policy;
+    cfg.spec = Some(SpecProgram::Mcf429);
+    cfg.train_requests = 40;
+    let mut sim = NodeSim::with_nodes(cfg, 3, 7);
     for profile in all_profiles() {
         let scaled = profile.working_set_blocks / 16;
         sim.add_workload(profile.with_working_set(scaled));
     }
     let report = sim.run_secs(6);
     (
-        report.report.mean_latency_us,
-        report.report.migrations_started,
-        report.report.migration_time.as_secs_f64(),
+        report.mean_latency_us,
+        report.migrations_started,
+        report.migration_time.as_secs_f64(),
     )
 }
 
