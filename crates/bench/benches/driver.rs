@@ -1,14 +1,14 @@
 //! Benchmarks of the scenario-parallel driver and the hot-path kernels it
 //! leans on: the event-queue `pop_due` fast path, device-model prediction
-//! (static and online), the staged buffer-cache probe, the bus-slowdown
-//! lookup table, O(1) report building, one full mix scenario, and grid
-//! throughput at 1 vs all workers.
+//! (static and online), the LRFU buffer cache (warm hit, bypass probe and
+//! miss-and-evict), the bus-slowdown lookup table, O(1) report building,
+//! one full mix scenario, and grid throughput at 1 vs all workers.
 //!
 //! `scripts/bench_snapshot.sh` runs this with `CRITERION_JSON_OUT` set and
 //! packages the results as `BENCH_driver.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use nvhsm_cache::{AccessClass, BypassCache, LrfuCache};
+use nvhsm_cache::{AccessClass, BufferCache, BypassCache, LrfuCache};
 use nvhsm_core::manager::{NetworkCosts, PolicyEngine, ResidentInfo};
 use nvhsm_core::migration::ActiveMigration;
 use nvhsm_core::training::pretrain_models;
@@ -212,6 +212,31 @@ fn bench_cache_probe(c: &mut Criterion) {
                 }
             }
             black_box(hits)
+        })
+    });
+    // The miss side: `mix_steady`'s device cache (4,096 blocks, λ = 0.05)
+    // sees HiBench streams far wider than itself, so most accesses evict
+    // the heap minimum and admit — the path neither probe above takes.
+    // Each iteration replays the next 4,096 accesses of a 64k trace drawn
+    // uniformly over 4× capacity (one write in four): once warm, about
+    // three accesses in four miss and evict.
+    const MISS_CAPACITY: u64 = 4096;
+    let mut rng = SimRng::new(11);
+    let trace: Vec<(u64, bool)> = (0..16 * MISS_CAPACITY)
+        .map(|_| (rng.below(4 * MISS_CAPACITY), rng.below(4) == 0))
+        .collect();
+    c.bench_function("driver/lrfu_miss_4k", |b| {
+        let mut cache = LrfuCache::new(MISS_CAPACITY as usize, 0.05);
+        for &(blk, write) in &trace {
+            cache.access(blk, write);
+        }
+        let mut window = trace.chunks(MISS_CAPACITY as usize).cycle();
+        b.iter(|| {
+            let mut evictions = 0u64;
+            for &(blk, write) in window.next().expect("cycle of a non-empty trace") {
+                evictions += cache.access(blk, write).evicted.is_some() as u64;
+            }
+            black_box(evictions)
         })
     });
 }

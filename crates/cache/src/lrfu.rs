@@ -8,22 +8,50 @@
 //! counts), large `λ` degenerates to LRU (only the last reference matters).
 //!
 //! Ordering trick: comparing CRFs "now" is equivalent to comparing
-//! `log2(crf) + λ · t_last`, which is constant between updates — so victims
-//! can be indexed in a `BTreeMap` without global decay sweeps.
+//! `log2(crf) + λ · t_last`, which is constant between updates — so the
+//! victim order needs no global decay sweeps. It is kept as an indexed
+//! binary min-heap over `(rank bits, block)`: each resident entry records
+//! its heap position, so a touch re-sifts one item in place and the victim
+//! is always the root. Ties in rank fall to the lower block id.
 
 use crate::{BufferCache, CacheOutcome};
-use std::collections::{BTreeMap, HashMap};
 
+/// Marks a block with no resident entry in the block index.
+const ABSENT: u32 = u32::MAX;
+
+/// A resident block's replacement state, stored in the slab.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     crf: f64,
     last: u64,
-    /// Ordered index key (bits of the f64 rank, see `rank_bits`).
-    key: u64,
+    /// Position of this entry's item in the heap.
+    heap_pos: u32,
     dirty: bool,
 }
 
+/// One heap item: the eviction order `(key, block)` plus the slab slot of
+/// the entry it stands for.
+#[derive(Debug, Clone, Copy)]
+struct HeapItem {
+    /// Order-preserving bits of the f64 rank, see `rank_bits`.
+    key: u64,
+    block: u64,
+    slot: u32,
+}
+
+impl HeapItem {
+    fn order(&self) -> (u64, u64) {
+        (self.key, self.block)
+    }
+}
+
 /// LRFU buffer cache.
+///
+/// Resident entries live in a slab; the block → slot index is a dense
+/// table that grows to the highest block id ever admitted (4 bytes per
+/// block id, within the block space of the device the cache fronts).
+/// Lookups, `contains`, `invalidate` and misses that do not admit never
+/// grow it.
 ///
 /// # Examples
 ///
@@ -38,9 +66,13 @@ pub struct LrfuCache {
     capacity: usize,
     lambda: f64,
     clock: u64,
-    entries: HashMap<u64, Entry>,
-    /// (rank bits, block) → (); first element is the eviction victim.
-    order: BTreeMap<(u64, u64), ()>,
+    /// Slab of resident entries, densely packed: `len()` is its length.
+    entries: Vec<Entry>,
+    /// Min-heap of resident entries by `(key, block)`; the root is the
+    /// eviction victim.
+    heap: Vec<HeapItem>,
+    /// Block id → slab slot, [`ABSENT`] when not resident.
+    slot_of: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -64,18 +96,26 @@ impl LrfuCache {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is negative or non-finite.
+    /// Panics if `lambda` is negative or non-finite, or if `capacity`
+    /// does not fit the cache's 32-bit slot numbers.
     pub fn new(capacity: usize, lambda: f64) -> Self {
         assert!(
             lambda >= 0.0 && lambda.is_finite(),
             "lambda must be a non-negative finite number"
         );
+        assert!(
+            capacity < ABSENT as usize,
+            "capacity must fit 32-bit slot numbers"
+        );
+        // Slab and heap grow with residency: reserving `capacity` up front
+        // measurably raised peak RSS (DESIGN.md §13, "LRFU index").
         LrfuCache {
             capacity,
             lambda,
             clock: 0,
-            entries: HashMap::with_capacity(capacity),
-            order: BTreeMap::new(),
+            entries: Vec::new(),
+            heap: Vec::new(),
+            slot_of: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -86,36 +126,96 @@ impl LrfuCache {
         self.lambda
     }
 
-    fn touch(&mut self, block: u64, write: bool) -> bool {
-        let Some(entry) = self.entries.get_mut(&block) else {
-            return false;
-        };
-        self.order.remove(&(entry.key, block));
+    /// The slab slot holding `block`, or [`ABSENT`].
+    fn slot(&self, block: u64) -> u32 {
+        usize::try_from(block)
+            .ok()
+            .and_then(|i| self.slot_of.get(i).copied())
+            .unwrap_or(ABSENT)
+    }
+
+    /// Points `block`'s index cell at `slot`, growing the table on first
+    /// admission of a block id past its end.
+    fn set_slot(&mut self, block: u64, slot: u32) {
+        let i = usize::try_from(block).expect("block id must fit the address space");
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, ABSENT);
+        }
+        self.slot_of[i] = slot;
+    }
+
+    fn touch(&mut self, slot: u32, write: bool) {
+        let entry = &mut self.entries[slot as usize];
         let elapsed = (self.clock - entry.last) as f64;
         entry.crf = 1.0 + entry.crf * 2f64.powf(-self.lambda * elapsed);
         entry.last = self.clock;
-        entry.key = rank_bits(entry.crf, entry.last, self.lambda);
         entry.dirty |= write;
-        self.order.insert((entry.key, block), ());
-        true
+        let key = rank_bits(entry.crf, entry.last, self.lambda);
+        let pos = entry.heap_pos as usize;
+        self.heap[pos].key = key;
+        self.resift(pos);
     }
 
-    fn evict(&mut self) -> Option<(u64, bool)> {
-        let (&(key, block), _) = self.order.iter().next()?;
-        self.order.remove(&(key, block));
-        // Invariant: entries and order always index the same set. Guarded
-        // rather than unwrapped so a bookkeeping bug degrades instead of
-        // panicking on the request path.
-        let entry = self.entries.remove(&block);
-        debug_assert!(entry.is_some(), "order entry must have a backing entry");
-        Some((block, entry.is_some_and(|e| e.dirty)))
+    /// Writes `item` at heap position `pos` and records the position in
+    /// its entry.
+    fn place(&mut self, pos: usize, item: HeapItem) {
+        self.heap[pos] = item;
+        self.entries[item.slot as usize].heap_pos = pos as u32;
+    }
+
+    /// Restores heap order around `pos` after its key changed in either
+    /// direction.
+    fn resift(&mut self, pos: usize) {
+        let pos = self.sift_up(pos);
+        self.sift_down(pos);
+    }
+
+    fn sift_up(&mut self, mut pos: usize) -> usize {
+        let item = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let above = self.heap[parent];
+            if above.order() <= item.order() {
+                break;
+            }
+            self.place(pos, above);
+            pos = parent;
+        }
+        self.place(pos, item);
+        pos
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let item = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap[right].order() < self.heap[left].order() {
+                right
+            } else {
+                left
+            };
+            let below = self.heap[child];
+            if item.order() <= below.order() {
+                break;
+            }
+            self.place(pos, below);
+            pos = child;
+        }
+        self.place(pos, item);
     }
 }
 
 impl BufferCache for LrfuCache {
     fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
         self.clock += 1;
-        if self.touch(block, write) {
+        let slot = self.slot(block);
+        if slot != ABSENT {
+            self.touch(slot, write);
             self.hits += 1;
             return CacheOutcome::hit();
         }
@@ -124,30 +224,64 @@ impl BufferCache for LrfuCache {
             // Never admits: the disabled configuration is a pure pass-through.
             return CacheOutcome::miss(None);
         }
-        let evicted = if self.entries.len() >= self.capacity {
-            self.evict()
-        } else {
-            None
-        };
         let entry = Entry {
             crf: 1.0,
             last: self.clock,
-            key: rank_bits(1.0, self.clock, self.lambda),
+            heap_pos: 0,
             dirty: write,
         };
-        self.order.insert((entry.key, block), ());
-        self.entries.insert(block, entry);
-        CacheOutcome::miss(evicted)
+        let key = rank_bits(1.0, self.clock, self.lambda);
+        if self.entries.len() >= self.capacity {
+            // Full (so the heap is non-empty): the root is the victim. The
+            // newcomer takes over its slab slot and its place at the root.
+            let victim = self.heap[0];
+            let dirty = self.entries[victim.slot as usize].dirty;
+            self.slot_of[victim.block as usize] = ABSENT;
+            self.entries[victim.slot as usize] = entry;
+            self.set_slot(block, victim.slot);
+            self.heap[0] = HeapItem {
+                key,
+                block,
+                slot: victim.slot,
+            };
+            self.sift_down(0);
+            return CacheOutcome::miss(Some((victim.block, dirty)));
+        }
+        let slot = self.entries.len() as u32;
+        self.entries.push(entry);
+        self.set_slot(block, slot);
+        self.heap.push(HeapItem { key, block, slot });
+        self.sift_up(self.heap.len() - 1);
+        CacheOutcome::miss(None)
     }
 
     fn invalidate(&mut self, block: u64) -> Option<bool> {
-        let entry = self.entries.remove(&block)?;
-        self.order.remove(&(entry.key, block));
-        Some(entry.dirty)
+        let slot = self.slot(block);
+        if slot == ABSENT {
+            return None;
+        }
+        self.slot_of[block as usize] = ABSENT;
+        // Unlink the heap item: the last item fills its hole and re-sifts.
+        let pos = self.entries[slot as usize].heap_pos as usize;
+        let last = self.heap.len() - 1;
+        self.heap.swap(pos, last);
+        self.heap.pop();
+        if pos < last {
+            self.place(pos, self.heap[pos]);
+            self.resift(pos);
+        }
+        // Compact the slab: the last entry moves into the freed slot.
+        let removed = self.entries.swap_remove(slot as usize);
+        if let Some(moved) = self.entries.get(slot as usize) {
+            let item = &mut self.heap[moved.heap_pos as usize];
+            item.slot = slot;
+            self.slot_of[item.block as usize] = slot;
+        }
+        Some(removed.dirty)
     }
 
     fn contains(&self, block: u64) -> bool {
-        self.entries.contains_key(&block)
+        self.slot(block) != ABSENT
     }
 
     fn capacity(&self) -> usize {
@@ -175,6 +309,7 @@ impl BufferCache for LrfuCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bypass::{AccessClass, BypassCache};
     use crate::lfu::LfuCache;
     use crate::lru::LruCache;
     use nvhsm_sim::SimRng;
@@ -299,6 +434,33 @@ mod tests {
         assert!(out3.evicted.is_none());
         let out4 = c.access(4, false);
         assert_eq!(out4.evicted, Some((2, false)));
+    }
+
+    #[test]
+    fn probes_of_unseen_blocks_never_grow_the_block_index() {
+        // Only admission may grow the dense index: misses that do not
+        // admit, `contains`, `invalidate` and bypass probes must leave it
+        // sized by the blocks actually admitted.
+        let far = 1 << 40;
+        let mut off = LrfuCache::new(0, 0.05);
+        assert!(!off.access(far, true).hit);
+        assert!(off.slot_of.is_empty());
+
+        let mut c = BypassCache::new(LrfuCache::new(4, 0.05));
+        for b in 0..3 {
+            c.access(b, false);
+        }
+        let admitted = c.inner().slot_of.len();
+        assert_eq!(admitted, 3);
+        assert!(!c.contains(far));
+        assert_eq!(c.invalidate(far), None);
+        assert_eq!(c.invalidate(9), None);
+        for b in [9, 1_000, far, u64::MAX] {
+            let out = c.access_classified(b, true, AccessClass::Migrated);
+            assert!(!out.hit);
+        }
+        assert_eq!(c.inner().slot_of.len(), admitted);
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

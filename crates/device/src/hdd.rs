@@ -13,7 +13,6 @@ use crate::StorageDevice;
 use nvhsm_fault::DeviceFaultHook;
 use nvhsm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// HDD configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,8 +74,9 @@ pub struct HddDevice {
     head_free: SimTime,
     /// Head position proxy: per-stream cursor (for sequential detection we
     /// rely on the stream cursor; for inter-stream interference the head is
-    /// the single shared resource).
-    cursor: HashMap<u32, u64>,
+    /// the single shared resource). Linearly scanned flat vec keyed by
+    /// stream, like `DeviceStats`.
+    cursor: Vec<(u32, u64)>,
     stats: DeviceStats,
     fault: FaultGate,
 }
@@ -93,7 +93,7 @@ impl HddDevice {
         HddDevice {
             cfg,
             head_free: SimTime::ZERO,
-            cursor: HashMap::new(),
+            cursor: Vec::new(),
             stats: DeviceStats::new(),
             fault: FaultGate::default(),
         }
@@ -107,12 +107,14 @@ impl HddDevice {
     /// serialization. Returns the fault-free finish time and advances the
     /// cursor and head horizon.
     fn service(&mut self, req: &IoRequest) -> SimTime {
-        let sequential = self
-            .cursor
-            .get(&req.stream)
-            .is_some_and(|&c| c == req.block);
-        self.cursor
-            .insert(req.stream, req.block + req.size_blocks as u64);
+        let next = req.block + req.size_blocks as u64;
+        let sequential = match self.cursor.iter_mut().find(|(s, _)| *s == req.stream) {
+            Some((_, cursor)) => std::mem::replace(cursor, next) == req.block,
+            None => {
+                self.cursor.push((req.stream, next));
+                false
+            }
+        };
 
         let mechanical = if sequential {
             SimDuration::ZERO

@@ -15,7 +15,6 @@ use nvhsm_fault::DeviceFaultHook;
 use nvhsm_flash::{FlashConfig, FlashDevice};
 use nvhsm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// SSD configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,7 +77,9 @@ pub struct SsdDevice {
     /// last, at most [`MAX_WINDOWS`] each): blocks within a window are
     /// considered prefetched. Multiple windows let interleaved sequential
     /// runs coexist with random probes, like real SSD stream detectors.
-    windows: HashMap<u32, Vec<(u64, u64)>>,
+    /// Keyed by stream in a linearly scanned flat vec, like
+    /// `DeviceStats`: a device serves a handful of streams.
+    windows: Vec<(u32, Vec<(u64, u64)>)>,
     stats: DeviceStats,
     readahead_hits: u64,
     fault: FaultGate,
@@ -98,7 +99,7 @@ impl SsdDevice {
         SsdDevice {
             cfg,
             flash,
-            windows: HashMap::new(),
+            windows: Vec::new(),
             stats: DeviceStats::new(),
             readahead_hits: 0,
             fault: FaultGate::default(),
@@ -123,7 +124,14 @@ impl SsdDevice {
         let now = req.arrival;
         let end = req.block + req.size_blocks as u64;
         let readahead = self.cfg.readahead_blocks;
-        let windows = self.windows.entry(req.stream).or_default();
+        let slot = match self.windows.iter().position(|(s, _)| *s == req.stream) {
+            Some(i) => i,
+            None => {
+                self.windows.push((req.stream, Vec::new()));
+                self.windows.len() - 1
+            }
+        };
+        let windows = &mut self.windows[slot].1;
         let matched = windows
             .iter()
             .position(|&(lo, hi)| req.block >= lo && req.block <= hi);

@@ -35,6 +35,13 @@ wall_ms() {
     echo $(( (end - start) / 1000000 ))
 }
 
+# Before/after rows of past optimizations outlive the code they measured,
+# so they are carried over from the previous snapshot unchanged.
+HISTORY='[]'
+if [[ -f "$OUT" ]]; then
+    HISTORY=$(jq '.history // []' "$OUT")
+fi
+
 echo "== timing experiments fig12 --quick end to end" >&2
 CORES=$(nproc)
 SERIAL_MS=$(wall_ms ./target/release/experiments fig12 --quick --jobs 1)
@@ -49,6 +56,7 @@ jq -n \
     --argjson cores "$CORES" \
     --argjson serial_ms "$SERIAL_MS" \
     --argjson parallel_ms "$PARALLEL_MS" \
+    --argjson history "$HISTORY" \
     '{
         snapshot: "driver",
         date: $date,
@@ -65,12 +73,15 @@ jq -n \
                       then ($serial_ms / $parallel_ms * 100 | round / 100)
                       else null end)
         },
+        history: $history,
         notes: [
             "grid_16_jobs_all vs grid_16_jobs1 and the end_to_end speedup scale with `cores`; on a 1-core host both are ~1.0.",
             "single_scenario_quick_8sim_s covers 8 simulated seconds: ns_per_iter / 8000 = ns per simulated millisecond.",
             "event_queue_pop_due_1k and event_queue_drain_due_1k run the calendar queue that ships; the matching *_heap rows run the retired BinaryHeap queue on the identical schedule — the before side of the pair (DESIGN.md section 13).",
             "predict_online_64x8 runs the same 64 probes as predict_uncached_64x8 through OnlineModels with a fitted residual correction installed (base walk + flattened constant-leaf correction walk); the gap between the two rows is the correction walk (DESIGN.md section 16).",
             "bus_slowdown_lut_1k vs bus_slowdown_exact_1k and report_build vs report_build_deepcopy are before/after pairs for the kernel optimizations.",
+            "cache_hit_64x8, cache_bypass_64x8 and lrfu_miss_4k run the LRFU buffer cache: a warm hit (full CRF touch and re-sift), a migrated-class residency probe, and a miss that evicts the heap minimum and admits (DESIGN.md sections 13 and 17).",
+            "history holds before/after medians of optimizations whose before-side code is gone (so no bench row can run it); each entry names its host. bench_snapshot.sh carries it over unchanged.",
             "datapath/local_bare matches management/one_virtual_second/BCA+lazy (same workload, seed 7): compare across commits to track the staged-pipeline refactor. local_instrumented adds fault gate + null trace + metrics; remote_mirror adds the stage-3 NIC hops.",
             "placement_scan_1k_sharded vs placement_scan_1k_flat run one arriving-VMDK placement over the same warm 1,000-node (3,000-store) serving fleet through the sharded engine (home shard + summary table) and the flat Manager (full Eq. 4 scan) — the O(shard) vs O(cluster) pair (DESIGN.md section 15). shard_summaries_3k_stores is the summary-table build the spill path pays.",
             "scripts/perf_gate.sh compares fresh medians against scripts/perf_budgets.json (derived from this file); kernel-class benches hard-fail at +25%, wall-class benches warn."
