@@ -19,18 +19,17 @@ use nvhsm_core::{
 use nvhsm_device::{DeviceKind, IoOp, IoRequest, SsdConfig, SsdDevice, StorageDevice};
 use nvhsm_experiments::mix::{run_mix, MixParams};
 use nvhsm_experiments::Scale;
-use nvhsm_mem::{AnalyticBus, CalibrationCurve, DramConfig};
+use nvhsm_mem::{AnalyticBus, DramConfig};
 use nvhsm_model::Features;
-use nvhsm_sim::{parallel, EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
+use nvhsm_sim::{parallel, EventQueue, SimDuration, SimRng, SimTime};
 
-/// The pop_due drain loop shared by the calendar/heap before-after pairs:
-/// 1024 events over 1 ms of virtual time, drained in 2 µs deadline steps
-/// (so roughly half the probes hit the fast not-due branch).
-macro_rules! pop_due_loop {
-    ($queue:ty, $b:ident) => {{
+fn bench_pop_due(c: &mut Criterion) {
+    // 1024 events over 1 ms of virtual time, drained in 2 µs deadline
+    // steps (so roughly half the probes hit the fast not-due branch).
+    c.bench_function("driver/event_queue_pop_due_1k", |b| {
         let mut rng = SimRng::new(1);
-        $b.iter(|| {
-            let mut q = <$queue>::with_capacity(1024);
+        b.iter(|| {
+            let mut q = EventQueue::with_capacity(1024);
             q.reserve(1024);
             for i in 0..1024u64 {
                 q.push(SimTime::from_ns(rng.below(1_000_000)), i);
@@ -45,17 +44,14 @@ macro_rules! pop_due_loop {
             }
             black_box(acc)
         })
-    }};
-}
-
-/// Same schedule through the batch `drain_due` API instead of one
-/// `pop_due` call per event.
-macro_rules! drain_due_loop {
-    ($queue:ty, $b:ident) => {{
+    });
+    // Same schedule through the batch `drain_due` API instead of one
+    // `pop_due` call per event.
+    c.bench_function("driver/event_queue_drain_due_1k", |b| {
         let mut rng = SimRng::new(1);
         let mut batch: Vec<(SimTime, u64)> = Vec::with_capacity(1024);
-        $b.iter(|| {
-            let mut q = <$queue>::with_capacity(1024);
+        b.iter(|| {
+            let mut q = EventQueue::with_capacity(1024);
             q.reserve(1024);
             for i in 0..1024u64 {
                 q.push(SimTime::from_ns(rng.below(1_000_000)), i);
@@ -72,23 +68,6 @@ macro_rules! drain_due_loop {
             }
             black_box(acc)
         })
-    }};
-}
-
-fn bench_pop_due(c: &mut Criterion) {
-    c.bench_function("driver/event_queue_pop_due_1k", |b| {
-        pop_due_loop!(EventQueue<u64>, b)
-    });
-    // The retired binary-heap queue on the same schedule: the before side
-    // of the calendar-queue pair.
-    c.bench_function("driver/event_queue_pop_due_1k_heap", |b| {
-        pop_due_loop!(HeapEventQueue<u64>, b)
-    });
-    c.bench_function("driver/event_queue_drain_due_1k", |b| {
-        drain_due_loop!(EventQueue<u64>, b)
-    });
-    c.bench_function("driver/event_queue_drain_due_1k_heap", |b| {
-        drain_due_loop!(HeapEventQueue<u64>, b)
     });
     // Baseline: the pre-optimization shape — peek to check the deadline,
     // then pop as a second queue access.
@@ -252,17 +231,6 @@ fn bench_bus_lut(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    // Baseline: the segment-scanning curve interpolation the LUT replaced.
-    let curve = CalibrationCurve::processor_sharing();
-    c.bench_function("driver/bus_slowdown_exact_1k", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for i in 0..1000 {
-                acc += curve.slowdown(i as f64 / 1000.0);
-            }
-            black_box(acc)
-        })
-    });
 }
 
 fn bench_report_build(c: &mut Criterion) {
@@ -279,19 +247,6 @@ fn bench_report_build(c: &mut Criterion) {
     sim.run_secs(2);
     c.bench_function("driver/report_build", |b| {
         b.iter(|| black_box(sim.run(SimDuration::ZERO)))
-    });
-    // Baseline: what the pre-Arc report build paid — a deep copy of every
-    // series the run accumulated.
-    c.bench_function("driver/report_build_deepcopy", |b| {
-        b.iter(|| {
-            let r = sim.run(SimDuration::ZERO);
-            black_box((
-                r.nvdimm_hit_ratio.to_vec(),
-                r.nvdimm_latency_series.to_vec(),
-                r.bus_utilization_series.to_vec(),
-                r.migration_log.to_vec(),
-            ))
-        })
     });
 }
 

@@ -1,15 +1,16 @@
 //! Benchmark support crate.
 //!
-//! The Criterion benchmarks live in `benches/`:
+//! The Criterion benchmarks live in `benches/`, and both feed the perf gate
+//! (`scripts/perf_gate.sh`) and the `BENCH_driver.json` snapshot
+//! (`scripts/bench_snapshot.sh`):
 //!
-//! * `micro` — hot-path microbenchmarks of every substrate (event queue,
-//!   LRFU, FTL, NAND device, DRAM bank model, regression tree).
-//! * `paper` — one group per paper table/figure, exercising the same code
-//!   paths as the `experiments` harness at benchmark-friendly sizes, plus
-//!   the DESIGN.md ablations (model kinds, bus models, scheduling
-//!   policies, cache policies).
-//! * `management` — end-to-end node-simulation benchmarks per management
-//!   policy (the Fig. 12/13/17 machinery).
+//! * `driver` — the scenario-parallel driver and the per-request kernels
+//!   it leans on (event-queue drain, model prediction, the LRFU buffer
+//!   cache, the bus-slowdown lookup table, report building, journal
+//!   replay, sharded placement), one full mix scenario, and grid
+//!   throughput at 1 vs all workers.
+//! * `datapath` — one virtual second of a node through the staged data
+//!   path: bare, instrumented, and with a cross-node mirror.
 //!
 //! This lib only hosts shared helpers for those benches.
 

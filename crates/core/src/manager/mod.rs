@@ -215,11 +215,6 @@ impl Manager {
         self.net = net;
     }
 
-    /// The interconnect cost terms in force.
-    pub fn network(&self) -> NetworkCosts {
-        self.net
-    }
-
     /// The hop penalty of serving `from`'s resident from `to`'s datastore:
     /// zero when both share a node.
     fn hop_us(&self, from_node: usize, to: &DeviceObservation) -> f64 {
@@ -238,16 +233,6 @@ impl Manager {
     /// The imbalance threshold τ.
     pub fn tau(&self) -> f64 {
         self.tau
-    }
-
-    /// Changes τ (the §6.2.1 sweep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau` is not in `(0, 1]`.
-    pub fn set_tau(&mut self, tau: f64) {
-        assert!(tau > 0.0 && tau <= 1.0, "tau must be in (0, 1]");
-        self.tau = tau;
     }
 
     /// The pretrained device models (the base characteristics even an

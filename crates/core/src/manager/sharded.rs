@@ -192,11 +192,6 @@ impl ShardedPolicyEngine {
     pub fn spill_placements(&self) -> u64 {
         self.spill_placements.get()
     }
-
-    /// The shard a node belongs to.
-    pub fn shard_of(&self, node: usize) -> usize {
-        node / self.nodes_per_shard
-    }
 }
 
 impl PolicyEngine for ShardedPolicyEngine {

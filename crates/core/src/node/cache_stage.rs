@@ -511,8 +511,9 @@ impl NodeSim {
             }
             // A bypass hit serves the copy from cache without promotion;
             // a bypass miss reads the device without admission. Either
-            // way the cache contents are untouched.
-            s.hits.gt(&0).then(|| at + HIT_LATENCY)
+            // way the cache contents are untouched. (Bypassed accesses
+            // are counted only in `bypassed`, never in `hits`.)
+            s.all_hit.then(|| at + HIT_LATENCY)
         } else {
             let s = self.stage_access_blocks(node, block, 1, false, AccessClass::Normal);
             let hit = s.all_hit;
@@ -627,5 +628,53 @@ impl NodeSim {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::NodeConfig;
+
+    /// A one-node simulation with the stage on (sweep bypass included) and
+    /// the index of its NVDIMM datastore.
+    fn staged_sim() -> (NodeSim, usize) {
+        let mut cfg = NodeConfig::small();
+        cfg.train_requests = 30;
+        cfg.cache = Some(NodeCacheConfig::small_test());
+        let sim = NodeSim::new(cfg, 1);
+        let ds = (0..sim.datastores.len())
+            .find(|&i| sim.datastores[i].device().kind() == DeviceKind::Nvdimm)
+            .expect("the small node has an NVDIMM");
+        (sim, ds)
+    }
+
+    #[test]
+    fn sweep_bypass_serves_resident_blocks_without_touching_the_cache() {
+        let (mut sim, ds) = staged_sim();
+        let node = sim.datastores[ds].node();
+        let stage = sim.cache.as_ref().expect("stage enabled");
+        assert!(stage.cfg.sweep_bypass);
+        // A foreground read admits block 7.
+        sim.stage_access_blocks(node, 7, 1, false, AccessClass::Normal);
+        let stage = sim.cache.as_ref().expect("stage enabled");
+        let (before, len) = (stage.counters[node], stage.caches[node].len());
+        assert!(stage.caches[node].contains(7));
+
+        let at = SimTime::from_us(100);
+        assert_eq!(sim.cache_sweep_read(ds, 7, at), Some(at + HIT_LATENCY));
+        let stage = sim.cache.as_ref().expect("stage enabled");
+        let after = stage.counters[node];
+        assert_eq!(after.bypassed, before.bypassed + 1);
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+        assert!(stage.caches[node].contains(7));
+        assert_eq!(stage.caches[node].len(), len);
+
+        // A block the stage does not hold goes to the device and stays out.
+        assert_eq!(sim.cache_sweep_read(ds, 8, at), None);
+        let stage = sim.cache.as_ref().expect("stage enabled");
+        assert!(!stage.caches[node].contains(8));
+        assert_eq!(stage.caches[node].len(), len);
+        assert_eq!(stage.counters[node].bypassed, before.bypassed + 2);
     }
 }

@@ -509,14 +509,6 @@ impl NodeSim {
         }
     }
 
-    /// The policy brain behind its narrow seam (diagnostics, network-cost
-    /// adjustments). The engine itself goes through the same trait: Eq. 4/5
-    /// code cannot reach into simulator internals, and the simulator cannot
-    /// reach past this interface into the policy's models.
-    pub fn policy_engine_mut(&mut self) -> &mut dyn PolicyEngine {
-        self.manager.as_mut()
-    }
-
     /// The policy engine's model-source statistics so far (observations
     /// fed, drifts, refits, mean absolute prediction error) — cumulative
     /// over the whole run, so windowed measurements difference two

@@ -131,23 +131,6 @@ pub struct MigrationEvent {
     pub mode: MigrationMode,
 }
 
-impl NodeReport {
-    /// Per-device latencies normalized to the slowest device (Fig. 12's
-    /// metric).
-    pub fn normalized_device_latencies(&self) -> Vec<(DeviceKind, f64)> {
-        let max = self
-            .devices
-            .iter()
-            .map(|d| d.mean_latency_us)
-            .fold(0.0f64, f64::max)
-            .max(1e-9);
-        self.devices
-            .iter()
-            .map(|d| (d.kind, d.mean_latency_us / max))
-            .collect()
-    }
-}
-
 /// Why an admission request could not be satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementError {

@@ -48,14 +48,12 @@ pub mod io;
 pub mod nvdimm;
 pub mod ssd;
 pub mod stats;
-pub mod trace;
 
 pub use hdd::{HddConfig, HddDevice};
 pub use io::{DeviceKind, IoCompletion, IoError, IoOp, IoRequest};
 pub use nvdimm::{MigrationTuning, NvdimmConfig, NvdimmDevice};
 pub use ssd::{SsdConfig, SsdDevice};
 pub use stats::{DeviceStats, EpochStats};
-pub use trace::{IoTrace, TraceRecord};
 
 use nvhsm_fault::DeviceFaultHook;
 use nvhsm_sim::SimTime;

@@ -194,21 +194,6 @@ impl NvdimmDevice {
         }
     }
 
-    /// Replaces the default bus model with a calibrated one.
-    pub fn set_bus(&mut self, bus: AnalyticBus) {
-        self.bus = bus;
-    }
-
-    /// Current migration tuning.
-    pub fn tuning(&self) -> MigrationTuning {
-        self.cfg.tuning
-    }
-
-    /// Changes the migration tuning at runtime.
-    pub fn set_tuning(&mut self, tuning: MigrationTuning) {
-        self.cfg.tuning = tuning;
-    }
-
     /// The buffer cache (hit-ratio inspection for Fig. 15).
     pub fn cache(&self) -> &BypassCache<LrfuCache> {
         &self.cache

@@ -128,11 +128,6 @@ impl FlashConfig {
         (self.total_physical_pages() as f64 * (1.0 - self.over_provisioning)) as u64
     }
 
-    /// Logical capacity in bytes.
-    pub fn logical_bytes(&self) -> u64 {
-        self.logical_pages() * self.page_bytes as u64
-    }
-
     /// Time to move one page over the channel bus.
     pub fn page_transfer_time(&self) -> SimDuration {
         SimDuration::from_ns_f64(self.page_bytes as f64 * 1e9 / self.channel_bandwidth as f64)

@@ -38,7 +38,6 @@ pub struct FlashDevice {
     ftl: PageFtl,
     chips: Vec<Chip>,
     channel_bus_free: Vec<SimTime>,
-    read_latency: OnlineStats,
     write_latency: OnlineStats,
     gc_stall_ns: u64,
 }
@@ -60,7 +59,6 @@ impl FlashDevice {
             ftl,
             chips,
             channel_bus_free,
-            read_latency: OnlineStats::new(),
             write_latency: OnlineStats::new(),
             gc_stall_ns: 0,
         }
@@ -98,16 +96,14 @@ impl FlashDevice {
     ///
     /// Panics if `lpn` exceeds the logical space.
     pub fn read(&mut self, lpn: Lpn, now: SimTime) -> SimTime {
-        let done = match self.ftl.lookup(lpn) {
+        match self.ftl.lookup(lpn) {
             Some(ppn) => {
                 let grant = self.chips[ppn.chip as usize].execute(ChipOp::Read, now, &self.cfg);
                 let channel = self.channel_of(ppn.chip);
                 self.bus_transfer(channel, grant.done)
             }
             None => now + self.cfg.sync_buffer_latency,
-        };
-        self.read_latency.add((done - now).as_ns() as f64);
-        done
+        }
     }
 
     /// Writes logical page `lpn`, arriving at `now`; returns completion
@@ -162,11 +158,6 @@ impl FlashDevice {
     /// Fraction of the logical space not holding live data.
     pub fn free_space_ratio(&self) -> f64 {
         self.ftl.free_space_ratio()
-    }
-
-    /// Mean read latency observed, microseconds.
-    pub fn mean_read_latency_us(&self) -> f64 {
-        self.read_latency.mean() / 1_000.0
     }
 
     /// Mean write latency observed, microseconds.

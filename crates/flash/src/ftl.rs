@@ -228,11 +228,6 @@ impl PageFtl {
         self.gc_moved
     }
 
-    /// Free blocks currently available on `chip`.
-    pub fn free_blocks_on(&self, chip: u32) -> usize {
-        self.free_blocks[chip as usize].len()
-    }
-
     /// Total block erases performed.
     pub fn total_erases(&self) -> u64 {
         self.erase_counts.iter().map(|&c| c as u64).sum()

@@ -15,9 +15,11 @@
 //!   vs. channel parallelism, *Policy One* (migrated writes ignore
 //!   barriers), *Policy Two* (persistent writes prioritized), and the
 //!   non-persistent barrier that bounds migrated-write delay (Fig. 9/10).
-//!   All four of its entry points funnel through one internal simulate
-//!   path, so its `BarrierDecision` trace taps fire identically however a
-//!   caller drives it.
+//!   Its three entry points — [`sched::simulate`],
+//!   [`sched::simulate_traced`] and [`sched::simulate_detailed_traced`]
+//!   (which also returns per-request completion times, for Fig. 9) —
+//!   funnel through one internal simulate path, so its `BarrierDecision`
+//!   trace taps fire identically however a caller drives it.
 //!
 //! In the node simulation this crate sits entirely inside the *device
 //! service* stage of the shared data-path pipeline (`nvhsm-core`'s
@@ -41,12 +43,10 @@ pub mod chip;
 pub mod config;
 pub mod device;
 pub mod ftl;
-pub mod ftl_block;
 pub mod sched;
 
 pub use chip::Chip;
 pub use config::FlashConfig;
 pub use device::{FlashDevice, FlashOpKind};
 pub use ftl::{FtlError, PageFtl};
-pub use ftl_block::BlockFtl;
 pub use sched::{SchedConfig, SchedPolicy, SchedStats, WriteClass, WriteRequest};

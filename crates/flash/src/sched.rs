@@ -155,21 +155,7 @@ struct Tracked {
 
 /// Simulates a write trace under `policy`, also returning each request's
 /// completion time (µs, trace order; `None` = discarded by the alias rule).
-///
-/// # Panics
-///
-/// Panics if any request addresses a channel outside the configuration or
-/// the trace is empty.
-pub fn simulate_detailed(
-    cfg: &SchedConfig,
-    requests: &[WriteRequest],
-    policy: SchedPolicy,
-) -> (SchedStats, Vec<Option<f64>>) {
-    simulate_inner(cfg, requests, policy, &None)
-}
-
-/// [`simulate_detailed`] with barrier-decision tracing (see
-/// [`simulate_traced`]).
+/// Barrier decisions are traced as in [`simulate_traced`].
 ///
 /// # Panics
 ///

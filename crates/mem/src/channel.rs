@@ -23,8 +23,6 @@ pub struct Channel {
     cfg: DramConfig,
     banks: Vec<Bank>,
     bus_free: SimTime,
-    busy_ns: u64,
-    dram_requests: u64,
     nvdimm_bursts: u64,
 }
 
@@ -35,8 +33,6 @@ impl Channel {
             cfg: cfg.clone(),
             banks: (0..cfg.ranks * cfg.banks).map(|_| Bank::new()).collect(),
             bus_free: SimTime::ZERO,
-            busy_ns: 0,
-            dram_requests: 0,
             nvdimm_bursts: 0,
         }
     }
@@ -77,8 +73,6 @@ impl Channel {
         let start = self.after_refresh(earliest_data.max(self.bus_free));
         let done = start + burst;
         self.bus_free = done;
-        self.busy_ns += burst.as_ns();
-        self.dram_requests += 1;
         BusGrant { start, done }
     }
 
@@ -91,33 +85,8 @@ impl Channel {
         let start = self.after_refresh(at.max(self.bus_free));
         let done = start + burst;
         self.bus_free = done;
-        self.busy_ns += burst.as_ns();
         self.nvdimm_bursts += 1;
         BusGrant { start, done }
-    }
-
-    /// Earliest time the data bus is free.
-    pub fn bus_free_at(&self) -> SimTime {
-        self.bus_free
-    }
-
-    /// Total nanoseconds the data bus has been occupied.
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
-    /// Bus utilization over `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy_ns as f64 / now.as_ns() as f64
-        }
-    }
-
-    /// DRAM requests served.
-    pub fn dram_requests(&self) -> u64 {
-        self.dram_requests
     }
 
     /// NVDIMM bursts served.
@@ -192,19 +161,6 @@ mod tests {
         // Outside the window nothing changes.
         let t = SimTime::from_ns(500);
         assert_eq!(c.after_refresh(t), t);
-    }
-
-    #[test]
-    fn utilization_tracks_busy_time() {
-        let mut c = chan();
-        for _ in 0..100 {
-            c.nvdimm_burst(SimTime::ZERO);
-        }
-        let now = c.bus_free_at();
-        let u = c.utilization(now);
-        // The bus was essentially saturated the whole run (modulo the first
-        // refresh window it had to skip).
-        assert!(u > 0.7, "utilization {u}");
     }
 
     #[test]

@@ -35,12 +35,10 @@ pub mod analytic;
 pub mod bank;
 pub mod channel;
 pub mod config;
-pub mod controller;
 pub mod system;
 pub mod traffic;
 
 pub use analytic::{AnalyticBus, BusModel, CalibrationCurve};
 pub use config::DramConfig;
-pub use controller::{MemController, SchedulingPolicy};
 pub use system::{DramSystem, MemOp, MemRequest, TransferOutcome};
 pub use traffic::PoissonTraffic;

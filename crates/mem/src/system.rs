@@ -141,11 +141,6 @@ impl DramSystem {
         }
     }
 
-    /// Bus utilization of `channel` over `[0, now]`.
-    pub fn channel_utilization(&self, channel: usize, now: SimTime) -> f64 {
-        self.channels[channel].utilization(now)
-    }
-
     /// Mean DRAM request latency in nanoseconds.
     pub fn mean_dram_latency_ns(&self) -> f64 {
         self.dram_latency.mean()

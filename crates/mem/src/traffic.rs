@@ -8,6 +8,9 @@
 use crate::system::{MemOp, MemRequest};
 use nvhsm_sim::{SimDuration, SimRng, SimTime};
 
+/// Lines (64 B) the stream's addresses range over: a 512 MiB footprint.
+const FOOTPRINT_LINES: u64 = 512 * 1024 * 1024 / 64;
+
 /// A Poisson DRAM request stream.
 ///
 /// # Examples
@@ -32,7 +35,6 @@ pub struct PoissonTraffic {
     rng: SimRng,
     clock: SimTime,
     cursor_addr: u64,
-    footprint_lines: u64,
 }
 
 impl PoissonTraffic {
@@ -51,7 +53,6 @@ impl PoissonTraffic {
             rng,
             clock: SimTime::ZERO,
             cursor_addr: 0,
-            footprint_lines: 512 * 1024 * 1024 / 64,
         }
     }
 
@@ -61,40 +62,14 @@ impl PoissonTraffic {
         self
     }
 
-    /// Overrides the memory footprint in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is smaller than one line.
-    pub fn with_footprint(mut self, bytes: u64) -> Self {
-        assert!(bytes >= 64, "footprint below one line");
-        self.footprint_lines = bytes / 64;
-        self
-    }
-
-    /// Current request rate in requests per second.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Changes the request rate (e.g. between program phases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not positive and finite.
-    pub fn set_rate(&mut self, rate: f64) {
-        assert!(rate > 0.0 && rate.is_finite(), "invalid traffic rate");
-        self.rate = rate;
-    }
-
     /// Draws the next request and its arrival time (strictly increasing).
     pub fn next_request(&mut self) -> (SimTime, MemRequest) {
         let gap_ns = self.rng.exponential(1e9 / self.rate).max(1.0);
         self.clock += SimDuration::from_ns_f64(gap_ns);
         if self.rng.chance(self.sequential_prob) {
-            self.cursor_addr = (self.cursor_addr + 1) % self.footprint_lines;
+            self.cursor_addr = (self.cursor_addr + 1) % FOOTPRINT_LINES;
         } else {
-            self.cursor_addr = self.rng.below(self.footprint_lines);
+            self.cursor_addr = self.rng.below(FOOTPRINT_LINES);
         }
         let op = if self.rng.chance(self.write_ratio) {
             MemOp::Write
@@ -102,11 +77,6 @@ impl PoissonTraffic {
             MemOp::Read
         };
         (self.clock, MemRequest::new(self.cursor_addr * 64, op))
-    }
-
-    /// Time of the most recently produced request.
-    pub fn clock(&self) -> SimTime {
-        self.clock
     }
 
     /// Skips the stream's clock forward to `at` without emitting requests

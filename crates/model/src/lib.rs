@@ -34,7 +34,6 @@ pub mod features;
 pub mod linreg;
 pub mod metrics;
 pub mod regtree;
-pub mod validation;
 
 pub use aggregation::AggregationModel;
 pub use contention::ContentionEstimator;
@@ -42,7 +41,6 @@ pub use features::{Dataset, Features, Sample, FEATURE_NAMES, NUM_FEATURES};
 pub use linreg::LinearRegression;
 pub use metrics::{mape, r2, rmse};
 pub use regtree::{FlatTree, LeafModel, RegTreeConfig, RegressionTree};
-pub use validation::{cross_validate, feature_importance, CrossValidation};
 
 use serde::{Deserialize, Serialize};
 
@@ -84,51 +82,11 @@ impl PerfModel {
     pub fn tree(&self) -> &RegressionTree {
         &self.tree
     }
-
-    /// Serializes the trained model to JSON (train once offline, ship the
-    /// model with the storage manager).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying serialization error.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Restores a model serialized with [`PerfModel::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trip_preserves_predictions() {
-        let mut data = Dataset::new();
-        for i in 0..64 {
-            data.push(Sample {
-                features: Features {
-                    oios: (i % 8) as f64,
-                    rd_rand: (i % 3) as f64 / 2.0,
-                    ..Features::default()
-                },
-                latency_us: 10.0 + 3.0 * (i % 8) as f64,
-            });
-        }
-        let model = PerfModel::train(&data);
-        let json = model.to_json().unwrap();
-        let back = PerfModel::from_json(&json).unwrap();
-        for s in data.samples() {
-            assert_eq!(model.predict(&s.features), back.predict(&s.features));
-        }
-    }
 
     #[test]
     fn model_learns_additive_structure() {

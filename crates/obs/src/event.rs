@@ -25,21 +25,6 @@ pub enum FaultKind {
     Offline,
 }
 
-/// Migration phase-transition classes, for filtering trace streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MigrationPhase {
-    /// Copy began.
-    Start,
-    /// Copy paused because an endpoint went offline.
-    Suspend,
-    /// Copy resumed from the dirty-block bitmap.
-    Resume,
-    /// Migration gave up; dirty blocks rolled back to the source.
-    Abort,
-    /// Copy finished and the resident moved to the destination.
-    Cutover,
-}
-
 /// One structured trace event. All timestamps `t` are simulated
 /// nanoseconds except the barrier events, which use the flash
 /// controller's native microsecond clock.
@@ -409,19 +394,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The migration phase this event represents, if it is one of the five
-    /// phase-transition events.
-    pub fn migration_phase(&self) -> Option<MigrationPhase> {
-        match self {
-            TraceEvent::MigrationStart { .. } => Some(MigrationPhase::Start),
-            TraceEvent::MigrationSuspend { .. } => Some(MigrationPhase::Suspend),
-            TraceEvent::MigrationResume { .. } => Some(MigrationPhase::Resume),
-            TraceEvent::MigrationAbort { .. } => Some(MigrationPhase::Abort),
-            TraceEvent::MigrationCutover { .. } => Some(MigrationPhase::Cutover),
-            _ => None,
-        }
-    }
-
     /// Short kind label (`"IoSubmit"`, `"MigrationAbort"`, ...) for
     /// filtering and metrics keys.
     pub fn kind(&self) -> &'static str {

@@ -31,12 +31,11 @@ mod event;
 mod metrics;
 mod sink;
 
-pub use event::{FaultKind, MigrationPhase, TraceEvent};
+pub use event::{FaultKind, TraceEvent};
 pub use metrics::{
     CounterEntry, GaugeEntry, HistogramEntry, MetricKey, MetricsRegistry, MetricsReport,
     MetricsSnapshot, QuantileSummary,
 };
 pub use sink::{
-    drain_ring, drain_ring_stats, emit, shared, to_jsonl, JsonlSink, NullSink, RingSink,
-    SharedSink, TraceSink,
+    drain_ring, drain_ring_stats, emit, shared, to_jsonl, NullSink, RingSink, SharedSink, TraceSink,
 };

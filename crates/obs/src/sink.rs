@@ -9,16 +9,12 @@
 
 use crate::event::TraceEvent;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 /// Destination for trace events.
 pub trait TraceSink: Send {
     /// Receives one event. Called in simulation order.
     fn record(&mut self, event: &TraceEvent);
-
-    /// Flushes any buffered output. Default: no-op.
-    fn flush_sink(&mut self) {}
 
     /// Downcast hook so callers can recover a concrete sink (e.g. drain a
     /// [`RingSink`] after a run) from a [`SharedSink`] trait object.
@@ -141,48 +137,6 @@ pub fn drain_ring_stats(sink: &SharedSink) -> (Vec<TraceEvent>, u64) {
     (ring.take(), dropped)
 }
 
-/// Streams events as JSON Lines: one externally-tagged JSON object per
-/// event, rendered by the workspace's deterministic serializer so equal
-/// event sequences give byte-identical output.
-pub struct JsonlSink<W: Write + Send> {
-    out: W,
-    lines: u64,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps a writer. Callers that care about flush-on-drop should call
-    /// [`TraceSink::flush_sink`] explicitly before dropping.
-    pub fn new(out: W) -> Self {
-        JsonlSink { out, lines: 0 }
-    }
-
-    /// Number of lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Consumes the sink and returns the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &TraceEvent) {
-        let line = serde_json::to_string(event).expect("trace events always serialize");
-        writeln!(self.out, "{line}").expect("trace sink write failed");
-        self.lines += 1;
-    }
-
-    fn flush_sink(&mut self) {
-        self.out.flush().expect("trace sink flush failed");
-    }
-
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// Renders a slice of events to a JSONL string (used by golden tests and
 /// the per-scenario trace collection in experiment grids).
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
@@ -218,17 +172,6 @@ mod tests {
         let got = r.take();
         assert_eq!(got, vec![ev(3), ev(4)]);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let mut s = JsonlSink::new(Vec::new());
-        s.record(&ev(7));
-        s.record(&ev(8));
-        assert_eq!(s.lines(), 2);
-        let text = String::from_utf8(s.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.starts_with("{\"IoFault\":{\"t\":7,"));
     }
 
     #[test]

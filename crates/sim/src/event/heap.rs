@@ -1,10 +1,9 @@
-//! The original binary-heap event queue, kept as the ordering oracle.
+//! The original binary-heap event queue, kept only as the ordering oracle.
 //!
 //! [`HeapEventQueue`] is the implementation [`EventQueue`](super::EventQueue)
-//! replaced. It stays in the tree for two reasons: the property tests drive
-//! both queues with identical operation sequences and assert identical
-//! output streams, and the `event_queue_*_heap` benches keep the before
-//! side of the before/after pair honest across future changes.
+//! replaced. The property tests drive both queues with identical operation
+//! sequences and assert identical output streams, so it carries just the
+//! operations those tests compare.
 
 use super::Entry;
 use crate::time::SimTime;
@@ -14,70 +13,34 @@ use std::collections::BinaryHeap;
 ///
 /// Same contract as [`EventQueue`](super::EventQueue): non-decreasing time
 /// order, FIFO within one timestamp.
-///
-/// # Examples
-///
-/// ```
-/// use nvhsm_sim::{HeapEventQueue, SimTime};
-///
-/// let mut q = HeapEventQueue::new();
-/// q.push(SimTime::from_ns(10), 'b');
-/// q.push(SimTime::from_ns(5), 'a');
-/// q.push(SimTime::from_ns(10), 'c');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
+pub(super) struct HeapEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
 
 impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(super) fn new() -> Self {
         HeapEventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
-    /// Creates an empty queue with room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
+    pub(super) fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(super) fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
+    pub(super) fn next_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// A reference to the earliest pending event, if any.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|e| (e.time, &e.event))
-    }
-
-    /// Removes and returns the earliest event only if it is due at or before
-    /// `now`.
-    ///
-    /// Single root access: the due check and the removal share one
-    /// `peek_mut`, instead of a peek followed by an independent pop.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
+    pub(super) fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
         let entry = self.heap.peek_mut()?;
         if entry.time <= now {
             let e = std::collections::binary_heap::PeekMut::pop(entry);
@@ -87,10 +50,7 @@ impl<E> HeapEventQueue<E> {
         }
     }
 
-    /// Removes every event due at or before `now`, appending them to `out`
-    /// in pop order, and returns how many were drained. One sift-down per
-    /// event — this is the baseline `drain_due` the calendar queue beats.
-    pub fn drain_due(&mut self, now: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
+    pub(super) fn drain_due(&mut self, now: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
         let mut n = 0usize;
         while let Some(e) = self.pop_due(now) {
             out.push(e);
@@ -99,48 +59,7 @@ impl<E> HeapEventQueue<E> {
         n
     }
 
-    /// Reserves capacity for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(super) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events. The sequence counter is kept, matching
-    /// [`EventQueue::clear`](super::EventQueue::clear).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Extend<(SimTime, E)> for HeapEventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        let iter = iter.into_iter();
-        self.heap.reserve(iter.size_hint().0);
-        for (t, e) in iter {
-            self.push(t, e);
-        }
-    }
-}
-
-impl<E> FromIterator<(SimTime, E)> for HeapEventQueue<E> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> Self {
-        let mut q = HeapEventQueue::new();
-        q.extend(iter);
-        q
     }
 }

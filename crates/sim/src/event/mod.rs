@@ -12,9 +12,9 @@
 //!   live in one arena (`pool`) threaded by intrusive per-slot lists with
 //!   a free list, so steady-state pushes and wheel turns are allocation
 //!   free — no per-slot buffers to malloc.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept as
-//!   the ordering oracle for the equivalence property tests and as the
-//!   before-side of the `event_queue_*_heap` benches.
+//! * `HeapEventQueue` — the original `BinaryHeap` implementation, compiled
+//!   only into this crate's tests as the ordering oracle for the
+//!   equivalence property tests.
 //!
 //! The determinism matters: every experiment in the workspace must be
 //! exactly reproducible from its seed, so the two queues are required (and
@@ -25,11 +25,10 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+#[cfg(test)]
 mod heap;
 #[cfg(test)]
 mod tests;
-
-pub use heap::HeapEventQueue;
 
 /// Wheel slots per rotation. With [`SHIFT`]-bit buckets the wheel spans
 /// `SLOTS << SHIFT` ns (~1.05 ms) before events spill to the overflow heap.
@@ -142,7 +141,7 @@ pub struct EventQueue<E> {
     /// can lie past the new horizon (the overwhelmingly common case).
     wheel_max_k: u64,
     /// Overflow level: entries whose bucket lies at or past
-    /// `base_k + SLOTS`. Same inverted ordering as [`HeapEventQueue`].
+    /// `base_k + SLOTS`, in `Entry`'s inverted `(time, seq)` order.
     far: BinaryHeap<Entry<E>>,
     len: usize,
     seq: u64,

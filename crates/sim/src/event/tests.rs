@@ -1,3 +1,4 @@
+use super::heap::HeapEventQueue;
 use super::*;
 use crate::time::SimDuration;
 use proptest::prelude::*;

@@ -9,13 +9,13 @@
 //!   "now" means.
 //! * [`EventQueue`] — a deterministic time-ordered calendar queue (FIFO
 //!   among events that share a timestamp), with batch drain of everything
-//!   due at a wake-up; [`HeapEventQueue`] is the binary-heap reference
-//!   implementation it is property-tested against.
+//!   due at a wake-up, property-tested against a binary-heap reference
+//!   queue.
 //! * [`SimRng`] — a small, seedable, `SplitMix64`-based random number
 //!   generator plus the distribution helpers the workload generators need
 //!   (exponential inter-arrivals, Zipfian skew, Bernoulli mixes).
 //! * [`stats`] — streaming statistics (Welford mean/variance, log-scale
-//!   latency histograms with percentile queries, windowed time series).
+//!   latency histograms with percentile queries).
 //! * [`parallel`] — deterministic scenario-parallel execution: fans
 //!   independent scenario closures across cores and returns results in
 //!   stable input order, so merged outputs are byte-identical to serial
@@ -40,7 +40,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, HeapEventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, TimeSeries};
+pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

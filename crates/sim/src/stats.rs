@@ -2,11 +2,9 @@
 //!
 //! Simulations in this workspace produce millions of latency samples; these
 //! collectors keep O(1)–O(log) state per sample: Welford mean/variance
-//! ([`OnlineStats`]), a log-bucketed latency histogram with percentile
-//! queries ([`Histogram`]), and a windowed time series ([`TimeSeries`]) used
-//! to reproduce the paper's "latency every 30 minutes" style plots.
+//! ([`OnlineStats`]) and a log-bucketed latency histogram with percentile
+//! queries ([`Histogram`]).
 
-use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Welford online mean / variance / extrema accumulator.
@@ -49,11 +47,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds a duration sample in microseconds.
-    pub fn add_duration_us(&mut self, d: SimDuration) {
-        self.add(d.as_us_f64());
     }
 
     /// Number of samples seen.
@@ -180,11 +173,6 @@ impl Histogram {
         }
     }
 
-    /// Adds a duration sample in nanoseconds.
-    pub fn add_duration(&mut self, d: SimDuration) {
-        self.add(d.as_ns() as f64);
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.total
@@ -256,94 +244,6 @@ impl Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Fixed-window time series: accumulates samples into consecutive windows of
-/// simulated time and exposes the per-window means.
-///
-/// This reproduces the paper's measurement style ("we track the latency of
-/// the NVDIMM ... every 30 minutes", Fig. 4/7) at whatever window the
-/// experiment chooses.
-///
-/// # Examples
-///
-/// ```
-/// use nvhsm_sim::{TimeSeries, SimTime, SimDuration};
-/// let mut ts = TimeSeries::new(SimDuration::from_ms(1));
-/// ts.add(SimTime::from_us(100), 10.0);
-/// ts.add(SimTime::from_us(1500), 30.0);
-/// let windows = ts.windows();
-/// assert_eq!(windows.len(), 2);
-/// assert_eq!(windows[0].mean, 10.0);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeSeries {
-    window: SimDuration,
-    slots: Vec<OnlineStats>,
-}
-
-/// One window of a [`TimeSeries`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Window {
-    /// Start of the window.
-    pub start: SimTime,
-    /// Mean of the samples in the window (0 if the window is empty).
-    pub mean: f64,
-    /// Number of samples in the window.
-    pub count: u64,
-}
-
-impl TimeSeries {
-    /// Creates a series with the given window length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(window > SimDuration::ZERO, "window must be positive");
-        TimeSeries {
-            window,
-            slots: Vec::new(),
-        }
-    }
-
-    /// Window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Adds a sample observed at `time`.
-    pub fn add(&mut self, time: SimTime, value: f64) {
-        let idx = (time.as_ns() / self.window.as_ns()) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, OnlineStats::new());
-        }
-        self.slots[idx].add(value);
-    }
-
-    /// Per-window summary, one entry per window from t = 0 to the last
-    /// sampled window (empty windows included, with `count == 0`).
-    pub fn windows(&self) -> Vec<Window> {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Window {
-                start: SimTime::from_ns(i as u64 * self.window.as_ns()),
-                mean: s.mean(),
-                count: s.count(),
-            })
-            .collect()
-    }
-
-    /// Number of windows recorded so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -433,27 +333,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!(a.percentile(99.0) > 500.0);
-    }
-
-    #[test]
-    fn time_series_windows() {
-        let mut ts = TimeSeries::new(SimDuration::from_us(10));
-        ts.add(SimTime::from_us(1), 1.0);
-        ts.add(SimTime::from_us(2), 3.0);
-        ts.add(SimTime::from_us(25), 10.0);
-        let w = ts.windows();
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0].mean, 2.0);
-        assert_eq!(w[0].count, 2);
-        assert_eq!(w[1].count, 0);
-        assert_eq!(w[2].mean, 10.0);
-        assert_eq!(w[2].start, SimTime::from_us(20));
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn time_series_rejects_zero_window() {
-        let _ = TimeSeries::new(SimDuration::ZERO);
     }
 
     proptest! {

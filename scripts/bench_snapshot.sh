@@ -77,12 +77,12 @@ jq -n \
         notes: [
             "grid_16_jobs_all vs grid_16_jobs1 and the end_to_end speedup scale with `cores`; on a 1-core host both are ~1.0.",
             "single_scenario_quick_8sim_s covers 8 simulated seconds: ns_per_iter / 8000 = ns per simulated millisecond.",
-            "event_queue_pop_due_1k and event_queue_drain_due_1k run the calendar queue that ships; the matching *_heap rows run the retired BinaryHeap queue on the identical schedule — the before side of the pair (DESIGN.md section 13).",
+            "event_queue_pop_due_1k and event_queue_drain_due_1k drain one schedule from the calendar queue that ships, one pop_due call per event vs batch drain_due; event_queue_peek_then_pop_1k is the pre-optimization peek-then-pop shape on the same queue.",
             "predict_online_64x8 runs the same 64 probes as predict_uncached_64x8 through OnlineModels with a fitted residual correction installed (base walk + flattened constant-leaf correction walk); the gap between the two rows is the correction walk (DESIGN.md section 16).",
-            "bus_slowdown_lut_1k vs bus_slowdown_exact_1k and report_build vs report_build_deepcopy are before/after pairs for the kernel optimizations.",
+            "The before sides of the calendar-queue, bus-slowdown LUT and O(1) report-build optimizations (the *_heap, bus_slowdown_exact_1k and report_build_deepcopy rows) ran code no simulation runs, so they were retired; their last medians are in history[1], beside the shipping rows.",
             "cache_hit_64x8, cache_bypass_64x8 and lrfu_miss_4k run the LRFU buffer cache: a warm hit (full CRF touch and re-sift), a migrated-class residency probe, and a miss that evicts the heap minimum and admits (DESIGN.md sections 13 and 17).",
             "history holds before/after medians of optimizations whose before-side code is gone (so no bench row can run it); each entry names its host. bench_snapshot.sh carries it over unchanged.",
-            "datapath/local_bare matches management/one_virtual_second/BCA+lazy (same workload, seed 7): compare across commits to track the staged-pipeline refactor. local_instrumented adds fault gate + null trace + metrics; remote_mirror adds the stage-3 NIC hops.",
+            "datapath/local_bare is one virtual second of the three-VMDK bench node (nvhsm_bench::bench_node) under BCA+lazy, seed 7: compare across commits to track the staged pipeline. local_instrumented adds fault gate + null trace + metrics; remote_mirror adds the stage-3 NIC hops.",
             "placement_scan_1k_sharded vs placement_scan_1k_flat run one arriving-VMDK placement over the same warm 1,000-node (3,000-store) serving fleet through the sharded engine (home shard + summary table) and the flat Manager (full Eq. 4 scan) — the O(shard) vs O(cluster) pair (DESIGN.md section 15). shard_summaries_3k_stores is the summary-table build the spill path pays.",
             "scripts/perf_gate.sh compares fresh medians against scripts/perf_budgets.json (derived from this file); kernel-class benches hard-fail at +25%, wall-class benches warn."
         ]

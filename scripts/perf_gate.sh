@@ -22,29 +22,39 @@
 #   scripts/perf_gate.sh --update-budgets rewrite scripts/perf_budgets.json
 #                                         from the BENCH_driver.json medians
 #                                         (refresh BENCH_driver.json first
-#                                         via scripts/bench_snapshot.sh)
+#                                         via scripts/bench_snapshot.sh);
+#                                         ids already budgeted keep their class
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGETS=scripts/perf_budgets.json
 
 if [[ "${1:-}" == "--update-budgets" ]]; then
-    jq '{
-        policy: {
-            source: "BENCH_driver.json medians; refresh via scripts/bench_snapshot.sh then scripts/perf_gate.sh --update-budgets",
-            rel_threshold: 1.25,
-            classes: {
-                kernel: "hard-fail when the measured median exceeds budget_ns * rel_threshold",
-                wall: "advisory warn only: wall-clock / parallelism benches are noise- and core-count-sensitive on the 1-core CI host"
-            }
-        },
-        budgets: ([.criterion.benchmarks[], .datapath.benchmarks[]]
-            | map({
-                id,
-                class: (if (.id | test("grid_16|single_scenario|^datapath/")) then "wall" else "kernel" end),
-                budget_ns: (.ns_per_iter | round)
-            }))
-    }' BENCH_driver.json > "$BUDGETS"
+    # An id already budgeted keeps its class (placement_scan_1k_flat is a
+    # 36 ms whole-fleet scan committed as `wall`); the name pattern only
+    # classifies new ids. Written via a temp file: the old budgets are
+    # read while the new ones are produced.
+    NEW_BUDGETS=$(mktemp)
+    jq --slurpfile old "$BUDGETS" '
+        ($old[0].budgets | map({(.id): .class}) | add // {}) as $class
+        | {
+            policy: {
+                source: "BENCH_driver.json medians; refresh via scripts/bench_snapshot.sh then scripts/perf_gate.sh --update-budgets",
+                rel_threshold: 1.25,
+                classes: {
+                    kernel: "hard-fail when the measured median exceeds budget_ns * rel_threshold",
+                    wall: "advisory warn only: wall-clock / parallelism benches are noise- and core-count-sensitive on the 1-core CI host"
+                }
+            },
+            budgets: ([.criterion.benchmarks[], .datapath.benchmarks[]]
+                | map({
+                    id,
+                    class: ($class[.id]
+                            // (if (.id | test("grid_16|single_scenario|^datapath/")) then "wall" else "kernel" end)),
+                    budget_ns: (.ns_per_iter | round)
+                }))
+        }' BENCH_driver.json > "$NEW_BUDGETS"
+    mv "$NEW_BUDGETS" "$BUDGETS"
     echo "== wrote $BUDGETS from BENCH_driver.json" >&2
     exit 0
 fi
