@@ -159,6 +159,9 @@ pub(crate) struct BlockIo {
     /// Submit with the migration access class: background tenants (the
     /// scrubber) are scheduled behind foreground I/O by Policy One/Two.
     pub(crate) migrated: bool,
+    /// Carry the no-admit hint (a read of a classifier-cold VMDK, see
+    /// [`super::cache`]).
+    pub(crate) no_admit: bool,
 }
 
 /// Who a completed request belongs to — the completion stage keeps
@@ -200,7 +203,8 @@ impl NodeSim {
     /// device completes). The hops fold into the completion additively —
     /// `latency = hop_pre + device service + hop_post` — so a same-node
     /// request (both hops zero) is priced by exactly the same arithmetic
-    /// as a cross-node one.
+    /// as a cross-node one. A served foreground request passes the cache
+    /// tap.
     pub(crate) fn service_block(
         &mut self,
         ds: usize,
@@ -215,12 +219,16 @@ impl NodeSim {
             IoOp::Read => arrival,
         };
         let hop_pre = submit_at.saturating_since(arrival);
-        let req = if io.migrated {
+        let mut req = if io.migrated {
             IoRequest::migrated(io.stream, io.block, io.size_blocks, io.op, submit_at)
         } else {
             IoRequest::normal(io.stream, io.block, io.size_blocks, io.op, submit_at)
         };
+        req.no_admit = io.no_admit;
         let mut completion = self.submit_with_retry(ds, &req)?;
+        if !io.migrated {
+            self.cache_tap(ds, io.block, arrival);
+        }
         if target_node != home_node && io.op == IoOp::Read {
             let done = self.net_transfer(target_node, home_node, bytes, completion.done);
             completion.latency += done.saturating_since(completion.done);
@@ -253,17 +261,9 @@ impl NodeSim {
             size_blocks: gen.size_blocks,
             op,
             migrated: false,
+            no_admit: op == IoOp::Read && self.no_admit(vmdk),
         };
-        // The cache_access stage sits between routing/translate and
-        // device service: hits short-circuit submission, misses fill
-        // through `service_block`. `None` means the stage does not apply
-        // (disabled, non-NVDIMM target, or offline device) and the
-        // request takes the plain device path.
-        let result = match self.cache_access(route.target_ds, vmdk, &io, arrival, home_node) {
-            Some(result) => result,
-            None => self.service_block(route.target_ds, io, arrival, home_node),
-        };
-        match result {
+        match self.service_block(route.target_ds, io, arrival, home_node) {
             Ok(completion) => IoOutcome::Served {
                 ds: route.target_ds,
                 completion,

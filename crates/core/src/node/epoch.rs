@@ -184,13 +184,10 @@ impl NodeSim {
         self.feed_model(&observations);
         // Hot/cold classification: feed this epoch's per-resident access
         // counts, close the classifier epoch, and publish the hot set to
-        // cache admission and the policy engine's candidate ordering.
-        self.cache_epoch(&observations);
+        // classified admission and the policy engine's candidate ordering.
+        self.classify_epoch(&observations);
 
-        // Fig. 15 bookkeeping: NVDIMM cache hit ratio this epoch. With the
-        // staged cache enabled, hits never reach the device, so the hit
-        // counters come from the stage and the request total adds the
-        // short-circuited hits back on top of the device's lifetime count.
+        // Fig. 15 bookkeeping: NVDIMM cache hit ratio this epoch.
         let (mut hits, mut misses, mut nv_reqs) = (0u64, 0u64, 0u64);
         for ds in &self.datastores {
             if ds.device().kind() != DeviceKind::Nvdimm {
@@ -201,12 +198,7 @@ impl NodeSim {
             // request counts and the device for cache counters.
             nv_reqs += ds.device().stats().lifetime_requests();
         }
-        if let Some(stage) = &self.cache {
-            let totals = stage.totals();
-            hits = totals.hits;
-            misses = totals.misses;
-            nv_reqs += totals.hits;
-        } else if let Some(nv) = self.nvdimm_device(0) {
+        if let Some(nv) = self.nvdimm_device(0) {
             hits = nv.cache().hits();
             misses = nv.cache().misses();
         }

@@ -74,32 +74,26 @@ impl NodeSim {
             let Some(src_block) = self.datastores[src].translate(vmdk, offset) else {
                 continue;
             };
-            // The sweep consults the staged cache first: its verdict is
-            // structural (this read belongs to a migration sweep), so with
-            // the bypass on the cache contents are untouched; with it off,
-            // the sweep churns the cache — the §5.3 eviction storm.
-            let read_done = match self.cache_sweep_read(src, src_block, self.now) {
-                Some(done) => done,
-                None => {
-                    let read = IoRequest::migrated(stream, src_block, 1, IoOp::Read, self.now);
-                    match self.datastores[src].device_mut().try_submit(&read) {
-                        Ok(c) => c.done,
-                        Err(e) => {
-                            self.io_errors += 1;
-                            self.with_metrics(src, |m, dev, node| {
-                                m.counter_inc("io_errors", dev, node)
-                            });
-                            if !e.is_retryable() {
-                                // Source offline: park the migration; its bitmap
-                                // survives for a later resume.
-                                self.suspend_migration(mi, e.at());
-                                break;
-                            }
-                            continue; // bit stays clear; a later round re-copies it
-                        }
+            // A migrated-class read: with the §5.3.2 bypass on, the
+            // NVDIMM's cache serves resident blocks without touching its
+            // contents; with it off, the sweep churns the cache — the
+            // eviction storm of Fig. 15.
+            let read = IoRequest::migrated(stream, src_block, 1, IoOp::Read, self.now);
+            let read_done = match self.datastores[src].device_mut().try_submit(&read) {
+                Ok(c) => c.done,
+                Err(e) => {
+                    self.io_errors += 1;
+                    self.with_metrics(src, |m, dev, node| m.counter_inc("io_errors", dev, node));
+                    if !e.is_retryable() {
+                        // Source offline: park the migration; its bitmap
+                        // survives for a later resume.
+                        self.suspend_migration(mi, e.at());
+                        break;
                     }
+                    continue; // bit stays clear; a later round re-copies it
                 }
             };
+            self.cache_tap(src, src_block, self.now);
             let write_at = self.net_transfer(src_node, dst_node, 4096, read_done);
             let Some(dst_block) = self.datastores[dst].translate(vmdk, offset) else {
                 continue;
@@ -186,9 +180,6 @@ impl NodeSim {
             m.counter_inc("migrations_completed", dev, node)
         });
         if self.datastores[src].hosts(vmdk) {
-            // The released extent's cached blocks are dead — drop them
-            // before the translation that names them disappears.
-            self.cache_invalidate_extent(src, vmdk);
             self.datastores[src].remove(vmdk);
         }
         for w in &mut self.workloads {
@@ -313,11 +304,6 @@ impl NodeSim {
                 None => self.blocks_lost += 1,
             }
         }
-        // The rollback writes above went straight to the devices, so any
-        // cached copies of either extent are stale; the destination extent
-        // additionally disappears below.
-        self.cache_invalidate_extent(src, vmdk);
-        self.cache_invalidate_extent(dst, vmdk);
         if self.datastores[dst].hosts(vmdk) {
             self.datastores[dst].remove(vmdk);
         }

@@ -30,7 +30,7 @@
 //! the narrow [`crate::manager::PolicyEngine`] seam) and [`report`]
 //! (accumulator snapshots).
 
-pub mod cache_stage;
+pub mod cache;
 pub mod datapath;
 pub mod epoch;
 pub mod mirror;
@@ -49,9 +49,8 @@ use crate::net::{Interconnect, NicConfig, NodeLinkStats};
 use crate::policy::PolicyKind;
 use crate::training::pretrain_models;
 use crate::vmdk::{Vmdk, VmdkId};
-use nvhsm_device::{
-    HddConfig, HddDevice, MigrationTuning, NvdimmConfig, NvdimmDevice, SsdConfig, SsdDevice,
-};
+use nvhsm_cache::HotColdClassifier;
+use nvhsm_device::{HddConfig, HddDevice, NvdimmDevice, SsdConfig, SsdDevice};
 use nvhsm_fault::{FaultPlan, NodeFaultPlan};
 use nvhsm_model::Features;
 use nvhsm_obs::{emit, MetricsRegistry, SharedSink, TraceEvent};
@@ -60,7 +59,7 @@ use nvhsm_workload::{IoGenerator, SpecProgram, SpecTraffic, WorkloadProfile};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-pub use cache_stage::NodeCacheConfig;
+pub use cache::NodeCacheConfig;
 pub use datapath::IoOutcome;
 pub use recovery::RecoveryPolicy;
 pub use report::{DeviceReport, MigrationEvent, NodeReport, PlacementError};
@@ -123,12 +122,10 @@ pub struct NodeConfig {
     /// the paper's static §4 setup, byte-identical to builds without the
     /// online subsystem.
     pub online_model: Option<crate::online::OnlineModelConfig>,
-    /// Node-level buffer-cache stage hoisted out of the NVDIMM device
-    /// model into the datapath (see [`cache_stage`]). `Some` with a
-    /// positive capacity fronts each node's NVDIMM with an LRFU cache
-    /// (the device's on-controller cache is disabled so caching happens
-    /// in exactly one place); `None` — or a zero capacity — keeps the
-    /// engine byte-identical to builds without the stage.
+    /// Each NVDIMM's buffer cache (see [`cache`]). `Some` sets its
+    /// capacity and migrated-read bypass and adds the hot/cold classifier,
+    /// classified admission and the cache trace/metrics taps; `None` keeps
+    /// the default 4,096-block device cache without them.
     pub cache: Option<NodeCacheConfig>,
 }
 
@@ -259,9 +256,8 @@ pub struct NodeSim {
     trace: Option<SharedSink>,
     metrics: Option<MetricsRegistry>,
     epoch_ordinal: u64,
-    /// The hoisted buffer-cache stage; `None` when disabled (the engine
-    /// is then byte-identical to builds without the stage).
-    cache: Option<cache_stage::CacheStage>,
+    /// The hot/cold classifier; `Some` iff `cfg.cache` is.
+    classifier: Option<HotColdClassifier>,
 }
 
 impl NodeSim {
@@ -300,28 +296,12 @@ impl NodeSim {
             per_block_us,
         });
 
-        let tuning = if cfg.policy.arch_optimization() {
-            MigrationTuning::optimized()
-        } else {
-            MigrationTuning::baseline()
-        };
-        // With the staged cache enabled, caching is hoisted out of the
-        // device: the NVDIMM's on-controller cache is built at capacity
-        // zero (never admits) so exactly one layer caches.
-        let stage = cfg
-            .cache
-            .as_ref()
-            .filter(|c| c.enabled())
-            .map(|c| cache_stage::CacheStage::new(*c, nodes));
+        let nvdimm_cfg = cache::nvdimm_config(cfg.cache.as_ref(), cfg.policy);
         let mut datastores = Vec::new();
         for node in 0..nodes {
-            let mut nvdimm_cfg = NvdimmConfig::small_test().with_tuning(tuning);
-            if stage.is_some() {
-                nvdimm_cfg.cache_blocks = 0;
-            }
             datastores.push(Datastore::new(
                 DatastoreId(datastores.len()),
-                Box::new(NvdimmDevice::new(nvdimm_cfg)),
+                Box::new(NvdimmDevice::new(nvdimm_cfg.clone())),
                 node,
             ));
             datastores.push(Datastore::new(
@@ -398,6 +378,7 @@ impl NodeSim {
             .unwrap_or_default();
 
         let epoch = cfg.epoch;
+        let classifier = cache::classifier(cfg.cache.as_ref());
         NodeSim {
             cfg,
             datastores,
@@ -457,7 +438,7 @@ impl NodeSim {
             trace: None,
             metrics: None,
             epoch_ordinal: 0,
-            cache: stage,
+            classifier,
         }
     }
 

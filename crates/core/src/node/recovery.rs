@@ -211,9 +211,6 @@ impl NodeSim {
     fn crash_node(&mut self, node: usize) {
         self.crashed[node] = true;
         self.node_crashes += 1;
-        // The staged cache is volatile DRAM-side state; power loss drops
-        // the node's cache contents and persist-barrier progress.
-        self.cache_drop_node(node);
         let now = self.now;
         let mut suspended = 0u32;
         for mi in 0..self.migrations.len() {

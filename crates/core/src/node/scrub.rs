@@ -115,6 +115,7 @@ impl NodeSim {
             size_blocks: 1,
             op: IoOp::Read,
             migrated: true,
+            no_admit: false,
         };
         let probe = GenRequest {
             offset,

@@ -512,9 +512,14 @@ proptest::proptest! {
     /// Composing the pipeline with Null stages — a fault plan that never
     /// fires, a trace sink that discards everything, metrics enabled —
     /// must reproduce the bare fast path byte-for-byte, for arbitrary
-    /// seeds and workloads.
+    /// seeds and workloads, with and without a cache config (whose
+    /// trace/metrics taps must only observe).
     #[test]
-    fn prop_null_stages_compose_to_identity(seed in 0u64..1_000, bench in 0u64..4) {
+    fn prop_null_stages_compose_to_identity(
+        seed in 0u64..1_000,
+        bench in 0u64..4,
+        cached in proptest::bool::ANY,
+    ) {
         let benches = [
             Benchmark::Sort,
             Benchmark::Bayes,
@@ -524,6 +529,7 @@ proptest::proptest! {
         let run = |null_stages: bool| {
             let mut cfg = quick_cfg(PolicyKind::BcaLazy);
             cfg.tau = 0.3;
+            cfg.cache = cached.then(NodeCacheConfig::small_test);
             if null_stages {
                 cfg.faults = Some(nvhsm_fault::FaultPlan::healthy(3));
             }

@@ -51,6 +51,10 @@ pub struct IoRequest {
     pub arrival: SimTime,
     /// Normal workload traffic or migration traffic (bypass-eligible).
     pub class: AccessClass,
+    /// Serve from the buffer cache if resident, but never admit or
+    /// promote: the hint for reads of a VMDK classified cold. Unlike the
+    /// migrated class, the request still counts as workload traffic.
+    pub no_admit: bool,
 }
 
 impl IoRequest {
@@ -63,6 +67,7 @@ impl IoRequest {
             op,
             arrival,
             class: AccessClass::Normal,
+            no_admit: false,
         }
     }
 
@@ -75,6 +80,7 @@ impl IoRequest {
             op,
             arrival,
             class: AccessClass::Migrated,
+            no_admit: false,
         }
     }
 

@@ -36,6 +36,7 @@
 //!     op: IoOp::Write,
 //!     arrival: SimTime::ZERO,
 //!     class: AccessClass::Normal,
+//!     no_admit: false,
 //! };
 //! let done = dev.submit(&req);
 //! assert!(done.done > SimTime::ZERO);
@@ -51,7 +52,7 @@ pub mod stats;
 
 pub use hdd::{HddConfig, HddDevice};
 pub use io::{DeviceKind, IoCompletion, IoError, IoOp, IoRequest};
-pub use nvdimm::{MigrationTuning, NvdimmConfig, NvdimmDevice};
+pub use nvdimm::{CacheAccess, MigrationTuning, NvdimmConfig, NvdimmDevice};
 pub use ssd::{SsdConfig, SsdDevice};
 pub use stats::{DeviceStats, EpochStats};
 

@@ -6,7 +6,9 @@
 //! device model composes:
 //!
 //! * the NAND backend of `nvhsm-flash` (Table 4 geometry),
-//! * an LRFU buffer cache (400 MB by default, §3) with the §5.3.2 bypass,
+//! * an LRFU buffer cache (400 MB by default, §3) with the §5.3.2 bypass
+//!   and a per-request no-admit hint, reporting what it did for each
+//!   request as a [`CacheAccess`] summary,
 //! * an [`AnalyticBus`] for memory-channel contention (calibrated against
 //!   the bank-level model in `nvhsm-mem`),
 //! * an ordered persistent-write lane reproducing the §5.3.1 barrier
@@ -16,12 +18,15 @@ use crate::fault_gate::FaultGate;
 use crate::io::{DeviceKind, IoCompletion, IoError, IoOp, IoRequest};
 use crate::stats::DeviceStats;
 use crate::StorageDevice;
-use nvhsm_cache::{AccessClass, BufferCache, BypassCache, LrfuCache};
+use nvhsm_cache::{AccessClass, BufferCache, BypassCache, CacheOutcome, LrfuCache};
 use nvhsm_fault::DeviceFaultHook;
 use nvhsm_flash::{FlashConfig, FlashDevice};
 use nvhsm_mem::{AnalyticBus, BusModel, DramConfig};
 use nvhsm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+/// LRFU decay λ of the buffer cache (Table 4).
+const LRFU_LAMBDA: f64 = 0.05;
 
 /// §5.3.1/§5.3.2 switches for migration traffic handling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,10 +67,9 @@ impl Default for MigrationTuning {
 pub struct NvdimmConfig {
     /// NAND backend geometry/timing.
     pub flash: FlashConfig,
-    /// Buffer cache capacity in 4 KiB blocks (400 MB ⇒ 102 400).
+    /// Buffer cache capacity in 4 KiB blocks (400 MB ⇒ 102 400). Zero
+    /// builds a cacheless device: every access goes to NAND.
     pub cache_blocks: usize,
-    /// LRFU decay parameter.
-    pub lrfu_lambda: f64,
     /// Memory-channel configuration used to derive bus timing.
     pub dram: DramConfig,
     /// Controller overhead added to every request.
@@ -97,7 +101,6 @@ impl NvdimmConfig {
         NvdimmConfig {
             flash: FlashConfig::nvdimm_256g(),
             cache_blocks: 400 * 1024 * 1024 / 4096,
-            lrfu_lambda: 0.05,
             dram: DramConfig::ddr3_1600(),
             controller_overhead: SimDuration::from_us(3),
             barrier_interval: 8,
@@ -114,7 +117,6 @@ impl NvdimmConfig {
         NvdimmConfig {
             flash: FlashConfig::with_capacity_gib(1),
             cache_blocks: 4096,
-            lrfu_lambda: 0.05,
             dram: DramConfig::ddr3_1600(),
             controller_overhead: SimDuration::from_us(3),
             barrier_interval: 8,
@@ -135,6 +137,27 @@ impl NvdimmConfig {
         self.tuning = tuning;
         self
     }
+}
+
+/// What the buffer cache did for the most recent request, summed over its
+/// blocks: the per-submit summary a host reads to trace and count cache
+/// behaviour without a second cache of its own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheAccess {
+    /// Normal-class blocks found resident.
+    pub hits: u32,
+    /// Normal-class blocks that missed and were admitted.
+    pub misses: u32,
+    /// Blocks that took the bypass path (migrated with the §5.3.2 bypass
+    /// on, or a no-admit read): served from the cache when resident, never
+    /// admitted or promoted, and kept out of the hit ratio.
+    pub bypassed: u32,
+    /// Blocks evicted to make room.
+    pub evictions: u32,
+    /// Dirty victims among the evictions, written back to NAND.
+    pub dirty_evictions: u32,
+    /// The first block evicted, if any.
+    pub first_victim: Option<u64>,
 }
 
 /// The NVDIMM storage device.
@@ -164,21 +187,19 @@ pub struct NvdimmDevice {
     persist_writes_since_barrier: u32,
     stats: DeviceStats,
     write_backs: u64,
+    last_access: CacheAccess,
     fault: FaultGate,
 }
 
 impl NvdimmDevice {
-    /// Builds the device. A zero `cache_blocks` disables the on-controller
-    /// buffer cache (every access goes to flash) — the configuration the
-    /// staged node-level cache uses when it hoists caching out of the
-    /// device.
+    /// Builds the device.
     ///
     /// # Panics
     ///
     /// Panics if the flash or DRAM configuration is invalid.
     pub fn new(cfg: NvdimmConfig) -> Self {
         let flash = FlashDevice::new(cfg.flash.clone());
-        let cache = BypassCache::new(LrfuCache::new(cfg.cache_blocks, cfg.lrfu_lambda));
+        let cache = BypassCache::new(LrfuCache::new(cfg.cache_blocks, LRFU_LAMBDA));
         let bus = AnalyticBus::new(&cfg.dram);
         NvdimmDevice {
             cfg,
@@ -190,6 +211,7 @@ impl NvdimmDevice {
             persist_writes_since_barrier: 0,
             stats: DeviceStats::new(),
             write_backs: 0,
+            last_access: CacheAccess::default(),
             fault: FaultGate::default(),
         }
     }
@@ -197,6 +219,12 @@ impl NvdimmDevice {
     /// The buffer cache (hit-ratio inspection for Fig. 15).
     pub fn cache(&self) -> &BypassCache<LrfuCache> {
         &self.cache
+    }
+
+    /// What the buffer cache did for the most recent request (empty when
+    /// the fault gate rejected it).
+    pub fn last_cache_access(&self) -> CacheAccess {
+        self.last_access
     }
 
     /// Dirty write-backs performed so far.
@@ -209,14 +237,33 @@ impl NvdimmDevice {
         &self.flash
     }
 
-    fn effective_class(&self, req: &IoRequest) -> AccessClass {
-        if req.class == AccessClass::Migrated && self.cfg.tuning.cache_bypass {
+    /// The cache path a read takes: the bypass path for a no-admit hint,
+    /// or for migrated reads when the §5.3.2 bypass is on. Without the
+    /// bypass mechanism the controller cannot tell the classes apart, so
+    /// migrated reads take the normal path.
+    fn read_class(&self, req: &IoRequest) -> AccessClass {
+        if req.no_admit || (req.class == AccessClass::Migrated && self.cfg.tuning.cache_bypass) {
             AccessClass::Migrated
         } else {
-            // Without the bypass mechanism the controller cannot tell the
-            // classes apart: everything takes the normal cache path.
             AccessClass::Normal
         }
+    }
+
+    /// One block's cache access, folded into the per-request summary.
+    fn access_cache(&mut self, block: u64, write: bool, class: AccessClass) -> CacheOutcome {
+        let outcome = self.cache.access_classified(block, write, class);
+        let a = &mut self.last_access;
+        match (class, outcome.hit) {
+            (AccessClass::Migrated, _) => a.bypassed += 1,
+            (AccessClass::Normal, true) => a.hits += 1,
+            (AccessClass::Normal, false) => a.misses += 1,
+        }
+        if let Some((victim, dirty)) = outcome.evicted {
+            a.evictions += 1;
+            a.dirty_evictions += u32::from(dirty);
+            a.first_victim.get_or_insert(victim);
+        }
+        outcome
     }
 
     fn handle_eviction(&mut self, evicted: Option<(u64, bool)>, now: SimTime) {
@@ -251,11 +298,11 @@ impl NvdimmDevice {
 
     fn serve_read(&mut self, req: &IoRequest) -> SimTime {
         let now = req.arrival;
-        let class = self.effective_class(req);
+        let class = self.read_class(req);
         let mut nand_done = now;
         for i in 0..req.size_blocks as u64 {
             let block = req.block + i;
-            let outcome = self.cache.access_classified(block, false, class);
+            let outcome = self.access_cache(block, false, class);
             if !outcome.hit {
                 nand_done = nand_done.max(self.flash.read(block, now));
             }
@@ -307,9 +354,7 @@ impl NvdimmDevice {
         // Table 1 lists ~5 µs NVDIMM writes vs 650 µs NAND programs).
         for i in 0..req.size_blocks as u64 {
             let block = req.block + i;
-            let outcome = self
-                .cache
-                .access_classified(block, true, AccessClass::Normal);
+            let outcome = self.access_cache(block, true, AccessClass::Normal);
             self.handle_eviction(outcome.evicted, now);
         }
         // Ordered persistence lane: every barrier_interval-th write flushes
@@ -330,6 +375,7 @@ impl StorageDevice for NvdimmDevice {
     }
 
     fn submit(&mut self, req: &IoRequest) -> IoCompletion {
+        self.last_access = CacheAccess::default();
         let done = match req.op {
             IoOp::Read => self.serve_read(req),
             IoOp::Write => self.serve_write(req),
@@ -342,6 +388,7 @@ impl StorageDevice for NvdimmDevice {
     fn try_submit(&mut self, req: &IoRequest) -> Result<IoCompletion, IoError> {
         // Failing windows reject before serve_* runs: the request never
         // reaches the cache, the persistent lane or NAND.
+        self.last_access = CacheAccess::default();
         let disposition = self.fault.admit(DeviceKind::Nvdimm, req)?;
         let done = match req.op {
             IoOp::Read => self.serve_read(req),
@@ -460,6 +507,29 @@ mod tests {
         );
     }
 
+    /// A two-block cache over prefilled NAND, holding blocks 42 and 43
+    /// (42 the older), with or without the §5.3.2 bypass.
+    fn two_block_dev(cache_bypass: bool) -> NvdimmDevice {
+        let mut cfg = NvdimmConfig::small_test().with_tuning(MigrationTuning {
+            cache_bypass,
+            sched_optimization: false,
+        });
+        cfg.cache_blocks = 2;
+        let mut d = NvdimmDevice::new(cfg);
+        d.prefill(0..100);
+        d.submit(&read(42, SimTime::ZERO));
+        d.submit(&read(43, SimTime::ZERO));
+        d
+    }
+
+    /// The only cache outcome of the last request was one bypassed block.
+    fn one_bypassed() -> CacheAccess {
+        CacheAccess {
+            bypassed: 1,
+            ..CacheAccess::default()
+        }
+    }
+
     #[test]
     fn migrated_reads_bypass_cache_only_when_enabled() {
         let mut d = dev();
@@ -474,6 +544,49 @@ mod tests {
         }));
         d2.submit(&m);
         assert!(!d2.cache().contains(42));
+
+        // With the bypass on, a sweep read of a resident block hits: no
+        // NAND read, no promotion, no hit-ratio count.
+        let mut d3 = two_block_dev(true);
+        let (hits, drained) = (d3.cache().hits(), d3.flash().drained_at());
+        let at = SimTime::from_ms(10);
+        let sweep = d3.submit(&IoRequest::migrated(1, 42, 1, IoOp::Read, at));
+        assert_eq!(d3.last_cache_access(), one_bypassed());
+        assert_eq!(d3.flash().drained_at(), drained, "the hit read NAND");
+        assert_eq!(d3.cache().hits(), hits);
+        assert!(
+            sweep.latency < SimDuration::from_us(10),
+            "{}",
+            sweep.latency
+        );
+        // Unpromoted, 42 is still the older block: the next admission
+        // evicts it.
+        d3.submit(&read(44, at));
+        assert!(!d3.cache().contains(42) && d3.cache().contains(43));
+    }
+
+    #[test]
+    fn no_admit_reads_neither_admit_nor_promote_but_count_as_workload() {
+        // The hint works without the migration bypass.
+        let mut d = two_block_dev(false);
+        let at = SimTime::from_ms(10);
+        let cold = |block| IoRequest {
+            no_admit: true,
+            ..IoRequest::normal(7, block, 1, IoOp::Read, at)
+        };
+        // A miss is served from NAND and not admitted.
+        d.submit(&cold(40));
+        assert_eq!(d.last_cache_access(), one_bypassed());
+        assert!(!d.cache().contains(40));
+        // A hit is served from the cache and not promoted.
+        d.submit(&cold(42));
+        assert_eq!(d.last_cache_access(), one_bypassed());
+        d.submit(&read(44, at));
+        assert!(!d.cache().contains(42) && d.cache().contains(43));
+        // Both hinted reads are the stream's workload traffic.
+        let e = d.stats_mut().take_epoch(SimTime::from_ms(20));
+        assert_eq!(e.per_stream_latency_us[&7].count(), 2);
+        assert_eq!(e.migrated_ios, 0);
     }
 
     #[test]

@@ -55,9 +55,8 @@ pub struct MixParams {
     /// = one shard, byte-identical to unsharded — the differential-oracle
     /// configuration).
     pub shard_nodes: usize,
-    /// Staged buffer cache in front of each NVDIMM. `None` (or a zero
-    /// capacity) leaves the datapath byte-identical to builds without the
-    /// cache stage — the differential-oracle configuration.
+    /// Each NVDIMM's buffer cache ([`NodeConfig::cache`]); `None` keeps the
+    /// default device cache.
     pub cache: Option<NodeCacheConfig>,
 }
 

@@ -1,98 +1,20 @@
-//! Differential oracle for the staged buffer cache.
+//! Differential oracle for the NVDIMM buffer cache's node-side plumbing.
 //!
-//! The cache stage promises that a *disabled* stage — `cache: None` or a
-//! zero-capacity config — is pure absence: every report, every trace
-//! event and every metric must come out byte-identical to a build without
-//! the stage. These tests pin that promise end to end through the real
-//! experiment drivers — the request-level mix (Fig. 12's driver) and the
-//! cluster run — comparing serialized reports, rendered JSONL traces and
-//! metrics snapshots as strings, not field-by-field, so *any* divergence
-//! fails.
+//! The control-plane churn driver has no request datapath, so its leg
+//! pins the [`nvhsm_core::PolicyEngine::observe_heat`] seam the hot/cold
+//! classifier feeds: heat naming only a VMDK the fleet never allocates
+//! must be inert through the sharded engine's delegation chain.
 //!
-//! The control-plane churn driver has no request datapath, so its leg of
-//! the oracle pins the other half of the tentpole instead: the
-//! [`nvhsm_core::PolicyEngine::observe_heat`] seam. Heat naming only a
-//! VMDK the fleet never allocates must be inert through the sharded
-//! engine's delegation chain.
-//!
-//! An enabled stage, by contrast, must actually *change* the run — a
-//! sensitivity check that keeps the oracle honest (a dropped config knob
-//! would pass the identity legs trivially).
+//! A cache config, by contrast, must actually *change* the run — a
+//! sensitivity check that a dropped config knob would fail. That the
+//! cache taps only observe is pinned next to the engine, by
+//! `node::tests::prop_null_stages_compose_to_identity`.
 
 use nvhsm_core::{NodeCacheConfig, PolicyKind};
 use nvhsm_experiments::churn::{run_churn, ChurnParams};
-use nvhsm_experiments::cluster::{run_cluster_observed, ClusterParams};
 use nvhsm_experiments::mix::{run_mix_observed, MixParams};
 use nvhsm_experiments::obs::ObsOptions;
 use nvhsm_experiments::Scale;
-use nvhsm_obs::to_jsonl;
-
-const FULL: ObsOptions = ObsOptions {
-    trace: true,
-    metrics: true,
-};
-
-/// A stage config with everything switched on except capacity: the
-/// sharpest disabled configuration (any leak from the stage's plumbing —
-/// an event, a counter, a latency change — diverges).
-fn disabled_stage() -> NodeCacheConfig {
-    NodeCacheConfig {
-        capacity_blocks: 0,
-        ..NodeCacheConfig::paper_scale()
-    }
-}
-
-#[test]
-fn disabled_cache_mix_is_byte_identical_to_no_cache() {
-    let none = MixParams::standard(PolicyKind::Bca);
-    let zero = MixParams {
-        cache: Some(disabled_stage()),
-        ..none
-    };
-    let (report_a, obs_a) = run_mix_observed(none, Scale::Quick, FULL);
-    let (report_b, obs_b) = run_mix_observed(zero, Scale::Quick, FULL);
-    assert_eq!(
-        serde_json::to_string(&report_a).unwrap(),
-        serde_json::to_string(&report_b).unwrap(),
-        "zero-capacity cache mix report diverged from no-cache"
-    );
-    assert_eq!(
-        to_jsonl(&obs_a.events),
-        to_jsonl(&obs_b.events),
-        "zero-capacity cache mix trace diverged from no-cache"
-    );
-    assert_eq!(
-        serde_json::to_string(&obs_a.metrics).unwrap(),
-        serde_json::to_string(&obs_b.metrics).unwrap(),
-        "zero-capacity cache mix metrics diverged from no-cache"
-    );
-}
-
-#[test]
-fn disabled_cache_cluster_is_byte_identical_to_no_cache() {
-    let none = ClusterParams::standard(PolicyKind::Bca);
-    let zero = ClusterParams {
-        cache: Some(disabled_stage()),
-        ..none
-    };
-    let (report_a, obs_a, _) = run_cluster_observed(none, Scale::Quick, FULL);
-    let (report_b, obs_b, _) = run_cluster_observed(zero, Scale::Quick, FULL);
-    assert_eq!(
-        serde_json::to_string(&report_a).unwrap(),
-        serde_json::to_string(&report_b).unwrap(),
-        "zero-capacity cache cluster report diverged from no-cache"
-    );
-    assert_eq!(
-        to_jsonl(&obs_a.events),
-        to_jsonl(&obs_b.events),
-        "zero-capacity cache cluster trace diverged from no-cache"
-    );
-    assert_eq!(
-        serde_json::to_string(&obs_a.metrics).unwrap(),
-        serde_json::to_string(&obs_b.metrics).unwrap(),
-        "zero-capacity cache cluster metrics diverged from no-cache"
-    );
-}
 
 #[test]
 fn phantom_heat_churn_is_byte_identical() {
@@ -112,7 +34,9 @@ fn phantom_heat_churn_is_byte_identical() {
 fn enabled_cache_actually_changes_the_mix() {
     let none = MixParams::standard(PolicyKind::Bca);
     let caching = MixParams {
-        cache: Some(NodeCacheConfig::small_test()),
+        // Paper scale, not `small_test`: the latter matches the default
+        // device cache and, with no migration in this mix, changes nothing.
+        cache: Some(NodeCacheConfig::paper_scale()),
         ..none
     };
     let (report_a, _) = run_mix_observed(none, Scale::Quick, ObsOptions::OFF);
@@ -120,6 +44,6 @@ fn enabled_cache_actually_changes_the_mix() {
     assert_ne!(
         serde_json::to_string(&report_a).unwrap(),
         serde_json::to_string(&report_b).unwrap(),
-        "an enabled cache stage left the mix untouched — the knob is dead"
+        "a paper-scale cache left the mix untouched — the knob is dead"
     );
 }
