@@ -12,7 +12,7 @@ use crate::manager::{DeviceHealth, DeviceObservation, ResidentInfo};
 use crate::migration::MigrationMode;
 use crate::training::{ModelEvent, ModelObservation};
 use nvhsm_cache::BufferCache;
-use nvhsm_device::{DeviceKind, NvdimmDevice};
+use nvhsm_device::{DeviceKind, NvdimmDevice, StorageDevice};
 use nvhsm_obs::{emit, TraceEvent};
 use nvhsm_sim::OnlineStats;
 use std::sync::Arc;
@@ -187,20 +187,13 @@ impl NodeSim {
         // classified admission and the policy engine's candidate ordering.
         self.classify_epoch(&observations);
 
-        // Fig. 15 bookkeeping: NVDIMM cache hit ratio this epoch.
+        // Fig. 15 bookkeeping: the NVDIMMs' cache hit ratio this epoch,
+        // summed over every node.
         let (mut hits, mut misses, mut nv_reqs) = (0u64, 0u64, 0u64);
-        for ds in &self.datastores {
-            if ds.device().kind() != DeviceKind::Nvdimm {
-                continue;
-            }
-            // Downcast via the known construction order: NVDIMMs are the
-            // node-local index 0 devices; use the trait-level stats for
-            // request counts and the device for cache counters.
-            nv_reqs += ds.device().stats().lifetime_requests();
-        }
-        if let Some(nv) = self.nvdimm_device(0) {
-            hits = nv.cache().hits();
-            misses = nv.cache().misses();
+        for nv in (0..self.nodes).filter_map(|node| self.nvdimm_device(node)) {
+            hits += nv.cache().hits();
+            misses += nv.cache().misses();
+            nv_reqs += nv.stats().lifetime_requests();
         }
         let (lh, lm) = self.last_cache_counts;
         let (dh, dm) = (hits.saturating_sub(lh), misses.saturating_sub(lm));

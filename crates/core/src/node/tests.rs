@@ -507,6 +507,24 @@ fn latency_stage_folds_wire_hops_additively() {
     );
 }
 
+#[test]
+fn hit_ratio_series_counts_every_nodes_nvdimm() {
+    // All traffic goes to node 1's NVDIMM (datastore 3) and none to node
+    // 0's, so a series read from node 0's cache alone would stay empty.
+    let mut cfg = quick_cfg(PolicyKind::Bca);
+    cfg.tau = 1.0; // keep the manager from moving the VMDK
+    let mut sim = NodeSim::with_nodes(cfg, 2, 3);
+    sim.add_workload_on(profile(Benchmark::Sort).with_working_set(4_000), 3)
+        .unwrap();
+    let report = sim.run(SimDuration::from_secs(1));
+    assert!(report.migrations_started == 0 && sim.placement_of(VmdkId(0)) == Some(3));
+    assert!(!report.nvdimm_hit_ratio.is_empty(), "no hit-ratio samples");
+    assert!(report
+        .nvdimm_hit_ratio
+        .iter()
+        .all(|&(_, r)| (0.0..=1.0).contains(&r)));
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(8))]
     /// Composing the pipeline with Null stages — a fault plan that never
