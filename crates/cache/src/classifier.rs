@@ -3,9 +3,10 @@
 //! One signal, two consumers: per-epoch access counts (fed from the epoch
 //! observation builder) decay exponentially so that sustained activity
 //! keeps a range hot while one-shot bursts cool off within a few epochs.
-//! The verdicts drive both cache admission (cold one-shot reads bypass the
-//! staged buffer cache) and the Manager's migration-candidate ordering
-//! (classifier-hot VMDKs are preferred by Eq. 6/7 selection).
+//! The verdicts drive both cache admission (reads of a cold VMDK carry a
+//! no-admit hint to the NVDIMM's buffer cache) and the Manager's
+//! migration-candidate ordering (classifier-hot VMDKs are preferred by
+//! Eq. 6/7 selection).
 //!
 //! Determinism: scores live in a `BTreeMap` keyed by range id, no RNG is
 //! consumed, and all arithmetic is a pure fold over the observed counts —

@@ -10,7 +10,11 @@
 //! as [`BypassCache`].
 //!
 //! All policies implement the [`BufferCache`] trait so the NVDIMM device
-//! model and the experiments can swap them freely.
+//! model and the experiments can swap them freely. The simulator runs one
+//! buffer cache per NVDIMM, a `BypassCache<LrfuCache>` owned by the device
+//! model; [`HotColdClassifier`] is the per-VMDK heat signal the node
+//! simulation derives from that device's traffic. [`BypassCache`]'s
+//! no-promote path also serves the device's no-admit reads.
 //!
 //! # Examples
 //!

@@ -91,8 +91,7 @@ impl LrfuCache {
     /// Creates a cache holding up to `capacity` blocks with decay `lambda`.
     ///
     /// A zero capacity is legal and yields a cache that never admits:
-    /// every access is a miss with no eviction, so a disabled cache
-    /// stage costs nothing and changes nothing.
+    /// every access is a miss with no eviction: a cacheless device.
     ///
     /// # Panics
     ///

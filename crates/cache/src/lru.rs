@@ -37,8 +37,7 @@ impl LruCache {
     /// Creates a cache holding up to `capacity` blocks.
     ///
     /// A zero capacity is legal and yields a cache that never admits:
-    /// every access is a miss with no eviction, so a disabled cache
-    /// stage costs nothing and changes nothing.
+    /// every access is a miss with no eviction: a cacheless device.
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,

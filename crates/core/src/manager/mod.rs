@@ -758,7 +758,7 @@ pub trait PolicyEngine: Send {
     /// Publishes the shared hot/cold classifier's per-epoch hot set so
     /// candidate selection can prefer sustained-hot residents. Defaults
     /// to a no-op: engines without heat awareness (and every run without
-    /// the cache stage) keep the pure Eq. 6/7 ordering.
+    /// a cache config) keep the pure Eq. 6/7 ordering.
     fn observe_heat(&mut self, _hot: &[VmdkId]) {}
 }
 

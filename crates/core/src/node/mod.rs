@@ -27,7 +27,9 @@
 //! the single latency-accounting stage), [`retry`] (fault gate driving and
 //! backoff), [`mirror`] (migration copy rounds, suspend/resume/abort),
 //! [`epoch`] (observation building and the per-epoch policy drive through
-//! the narrow [`crate::manager::PolicyEngine`] seam) and [`report`]
+//! the narrow [`crate::manager::PolicyEngine`] seam), [`cache`] (the
+//! NVDIMM cache's configuration, the hot/cold classifier and the cache
+//! taps; the cache itself is inside the device) and [`report`]
 //! (accumulator snapshots).
 
 pub mod cache;

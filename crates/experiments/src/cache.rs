@@ -1,12 +1,13 @@
-//! `cache` — the staged buffer cache under migration sweeps and scan
+//! `cache` — the NVDIMM's buffer cache under migration sweeps and scan
 //! pollution: cache size × migration policy × sweep-bypass on/off through
-//! the full engine (the node-level [`nvhsm_core::NodeCacheConfig`] stage,
-//! not the bare device of `fig15`), plus a classifier-admission panel.
+//! the full engine ([`nvhsm_core::NodeCacheConfig`] sizing each node's
+//! device cache, where `fig15` drives a bare device), plus a
+//! classifier-admission panel.
 //!
 //! **Sweep panel.** A zipf-hot workload runs against its node's NVDIMM
 //! while a large cold VMDK is forcibly migrated off the same NVDIMM. With
-//! the structural sweep bypass off, every swept block passes through the
-//! stage: ~131k one-shot admissions flatten the working set and the epoch
+//! the sweep bypass off, every swept block passes through the device's
+//! cache: ~131k one-shot admissions flatten the working set and the epoch
 //! hit ratio collapses (Fig. 15's effect, reproduced through the real
 //! datapath). With the bypass on, sweep reads never touch cache contents
 //! and the hit ratio holds. The CI test pins the paper-scale contrast:
@@ -15,8 +16,9 @@
 //! **Scan panel.** No migration — instead a uniform scanner pollutes the
 //! cache from the foreground at an IOPS rate the hot/cold classifier can
 //! tell apart from the hot workload. With `classified_admission` on, the
-//! scanner's cold verdict keeps its one-shot reads out of the cache
-//! (hit-no-promote, never admitted), cutting eviction churn.
+//! scanner's cold verdict puts the no-admit hint on its reads, keeping
+//! them out of the cache (hit-no-promote, never admitted) and cutting
+//! eviction churn.
 
 use crate::harness::{ExperimentResult, Row, Scale};
 use crate::mix::MixObservation;
@@ -84,7 +86,7 @@ struct CaseOutcome {
     active_hit_ratio: f64,
     /// Mean epoch hit ratio over the whole measured window.
     window_hit_ratio: f64,
-    /// Stage evictions in the measured window.
+    /// Cache evictions in the measured window.
     evictions: f64,
     /// Mean workload latency, µs.
     mean_latency_us: f64,
@@ -231,11 +233,11 @@ fn scan_case(classified: bool, scale: Scale, opts: ObsOptions) -> (CaseOutcome, 
     (outcome, obs)
 }
 
-/// Runs the cache-stage panels.
+/// Runs the sweep and scan panels.
 pub fn run(scale: Scale) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "cache",
-        "staged buffer cache under migration sweeps and scans",
+        "NVDIMM buffer cache under migration sweeps and scans",
         vec![
             "active_hit_ratio".into(),
             "window_hit_ratio".into(),
@@ -292,7 +294,7 @@ pub fn run(scale: Scale) -> ExperimentResult {
             .unwrap_or(0.0)
     };
     result.note(format!(
-        "paper-scale sweep (bca): hit ratio {:.2} with the structural bypass vs {:.2} without — the working-set eviction collapse and its fix, through the staged datapath",
+        "paper-scale sweep (bca): hit ratio {:.2} with the structural bypass vs {:.2} without — the working-set eviction collapse and its fix, through the full engine",
         sweep_ratio("paper_bca_bypass"),
         sweep_ratio("paper_bca_plain"),
     ));

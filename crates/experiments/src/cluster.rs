@@ -15,7 +15,7 @@
 use crate::harness::{ExperimentResult, Row, Scale};
 use crate::mix::{mix_profiles, MixObservation};
 use crate::obs::{ObsOptions, ScenarioObs, TRACE_RING_CAPACITY};
-use nvhsm_core::{ClusterReport, NodeCacheConfig, NodeConfig, NodeSim, PolicyKind};
+use nvhsm_core::{ClusterReport, NodeConfig, NodeSim, PolicyKind};
 use nvhsm_obs::{drain_ring_stats, shared, RingSink};
 use nvhsm_sim::SimDuration;
 
@@ -34,10 +34,6 @@ pub struct ClusterParams {
     /// shard, byte-identical to unsharded — the differential-oracle
     /// configuration).
     pub shard_nodes: usize,
-    /// Staged buffer cache in front of each NVDIMM. `None` (or a zero
-    /// capacity) leaves the datapath byte-identical to builds without the
-    /// cache stage — the differential-oracle configuration.
-    pub cache: Option<NodeCacheConfig>,
 }
 
 /// An effectively infinite link: wire time rounds to ~0 for any transfer
@@ -57,7 +53,6 @@ impl ClusterParams {
             policy,
             seed: 42,
             shard_nodes: 0,
-            cache: None,
         }
     }
 }
@@ -106,7 +101,6 @@ fn node_config(params: ClusterParams, scale: Scale) -> NodeConfig {
     cfg.train_requests = scale.train_requests();
     cfg.nic_bandwidth = params.bandwidth;
     cfg.shard_nodes = params.shard_nodes;
-    cfg.cache = params.cache;
     cfg
 }
 

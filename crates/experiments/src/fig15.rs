@@ -2,6 +2,11 @@
 //! LRFU buffer cache's hit ratio collapses, while the §5.3.2 bypassing
 //! cache stays stable. Single-node and multi-node (several concurrently
 //! swept NVDIMMs) variants.
+//!
+//! The experiment drives bare [`NvdimmDevice`]s, whose buffer cache is the
+//! only one in the simulator: a node built with a
+//! `nvhsm_core::NodeCacheConfig` sizes that same cache, and the `cache`
+//! experiment repeats the sweep through the full engine.
 
 use crate::harness::{ExperimentResult, Row, Scale};
 use nvhsm_cache::BufferCache;

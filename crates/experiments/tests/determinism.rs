@@ -204,7 +204,7 @@ fn traced_cache_dump() -> String {
 
 #[test]
 fn cache_experiment_is_byte_identical_across_job_counts() {
-    // The cache stage keeps no RNG of its own: hit/miss sequences, sweep
+    // The cache and its classifier keep no RNG: hit/miss sequences, sweep
     // bypass verdicts and classifier scores derive only from the request
     // stream and the simulation clock, so the whole sweep table must not
     // see the worker count.

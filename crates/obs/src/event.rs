@@ -327,7 +327,7 @@ pub enum TraceEvent {
         /// The configured drift threshold λ, µs.
         threshold_us: f64,
     },
-    /// The staged buffer cache served a read without touching the device.
+    /// The NVDIMM's buffer cache held every block of a request.
     CacheHit {
         /// Simulated time, ns.
         t: u64,
@@ -338,7 +338,8 @@ pub enum TraceEvent {
         /// The 4 KiB block served from cache.
         block: u64,
     },
-    /// The staged buffer cache missed; the fill was charged to the device.
+    /// The NVDIMM's buffer cache missed part of a request; the missed
+    /// blocks were read from NAND and admitted.
     CacheMiss {
         /// Simulated time, ns.
         t: u64,
@@ -351,7 +352,7 @@ pub enum TraceEvent {
         /// `true` when admitting the fill evicted a victim.
         evicted: bool,
     },
-    /// The staged buffer cache evicted a block to admit a fill.
+    /// The NVDIMM's buffer cache evicted a block to admit another.
     CacheEvict {
         /// Simulated time, ns.
         t: u64,
@@ -361,11 +362,12 @@ pub enum TraceEvent {
         node: u32,
         /// The evicted 4 KiB block.
         block: u64,
-        /// `true` when the victim was dirty (a flash write-back was
-        /// charged through the fault-gated device path).
+        /// `true` when a victim was dirty (the device wrote it back to
+        /// NAND).
         dirty: bool,
     },
-    /// A migration-sweep access skipped the staged cache structurally.
+    /// A request took the buffer cache's bypass path: a migration-sweep
+    /// read under the §5.3.2 bypass, or a no-admit read of a cold VMDK.
     CacheBypass {
         /// Simulated time, ns.
         t: u64,

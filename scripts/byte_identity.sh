@@ -11,16 +11,18 @@
 # change first: uncommitted edits are not part of any revision.
 #
 # Output: `diff -r` of the two sides' outputs (stderr's `wrote <path>`
-# lines are dropped, since the paths differ), then the perfbench
-# `--seed 101 --trace 0` digest of each workload on both sides. Exit
-# status 1 when any output or digest differs. A tool for refactors that
-# claim byte-identity, not a CI gate: a PR that changes numbers on purpose
-# fails it by design.
+# lines are dropped, since the paths differ): the files that differ, then
+# the first DIFF_LINES (default 200) lines of the diff, with the whole
+# diff kept in the work directory under KEEP=1. Then the perfbench
+# `--seed 101 --trace 0` report digest of each workload on both sides.
+# Exit status 1 when any output or digest differs. A tool for refactors
+# that claim byte-identity, not a CI gate: a change that moves numbers on
+# purpose fails it by design.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 BASE=$(git rev-parse --verify "$1^{commit}")
@@ -59,11 +61,16 @@ build_and_run() {
     for w in "${WORKLOADS[@]}"; do
         echo "== $side: perfbench $w" >&2
         # The digest covers the first five repetitions, so one second of
-        # measuring (at least five repetitions) is enough.
-        (cd "$src" && "$CARGO_TARGET_DIR/release/perfbench" --workload "$w" \
-            --seed 101 --seconds 1 --trace 0 2>&1 >/dev/null) |
-            grep -o 'report digest [0-9a-f]*, [0-9]* of [0-9]* attempts failed' \
-                >"$WORK/$side/digest.$w" || true
+        # measuring (at least five repetitions) is enough. The attempt
+        # count depends on host speed, so only the digest and the failed
+        # count are kept.
+        local summary
+        summary=$(cd "$src" && "$CARGO_TARGET_DIR/release/perfbench" --workload "$w" \
+            --seed 101 --seconds 1 --trace 0 2>&1 >/dev/null || true)
+        printf 'digest %s, %s failed\n' \
+            "$(grep -o 'report digest [0-9a-f]*' <<<"$summary" | awk '{print $3}')" \
+            "$(grep -o '[0-9]* of [0-9]* attempts failed' <<<"$summary" | awk '{print $1}')" \
+            >"$WORK/$side/digest.$w"
     done
 }
 
@@ -72,15 +79,18 @@ build_and_run head "$HEAD_REV"
 
 status=0
 echo "== diff -r base head" >&2
-if diff -r "$WORK/base/out" "$WORK/head/out"; then
+if diff -r "$WORK/base/out" "$WORK/head/out" >"$WORK/diff.txt"; then
     echo "outputs: identical"
 else
     status=1
+    diff -rq "$WORK/base/out" "$WORK/head/out" | sed "s|$WORK/||g" || true
+    echo "-- first ${DIFF_LINES:-200} lines of the diff:"
+    head -n "${DIFF_LINES:-200}" "$WORK/diff.txt"
 fi
 for w in "${WORKLOADS[@]}"; do
     b=$(cat "$WORK/base/digest.$w")
     h=$(cat "$WORK/head/digest.$w")
     echo "perfbench $w: base {$b} head {$h}"
-    [ "$b" = "$h" ] && [ -n "$b" ] || status=1
+    [ "$b" = "$h" ] && [ "${b#digest ,}" = "$b" ] || status=1
 done
 exit "$status"
