@@ -51,9 +51,10 @@ pub struct IoRequest {
     pub arrival: SimTime,
     /// Normal workload traffic or migration traffic (bypass-eligible).
     pub class: AccessClass,
-    /// Serve from the buffer cache if resident, but never admit or
-    /// promote: the hint for reads of a VMDK classified cold. Unlike the
-    /// migrated class, the request still counts as workload traffic.
+    /// On a read: serve from the buffer cache if resident, but never
+    /// admit or promote (the hint for reads of a VMDK classified cold).
+    /// Unlike the migrated class, the request still counts as workload
+    /// traffic.
     pub no_admit: bool,
 }
 
