@@ -1,10 +1,12 @@
 //! Property tests for the metrics layer: histogram algebra (merge
-//! associativity, quantile monotonicity, bucket-boundary resolution) and
-//! registry snapshot/restore round-trips.
+//! associativity, quantile monotonicity, bucket-boundary resolution),
+//! registry snapshot/restore round-trips, and the registry's key order
+//! against a flat `BTreeMap<MetricKey, _>` reference.
 
-use nvhsm_obs::{MetricsRegistry, MetricsSnapshot};
+use nvhsm_obs::{MetricKey, MetricsRegistry, MetricsSnapshot};
 use nvhsm_sim::Histogram;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn hist_of(xs: &[f64]) -> Histogram {
     let mut h = Histogram::new();
@@ -155,5 +157,146 @@ proptest! {
             serde_json::to_string(&restored.report()).unwrap(),
             serde_json::to_string(&r.report()).unwrap()
         );
+    }
+}
+
+/// Names that are prefixes of each other, so a nested table that ordered
+/// by anything but bytewise string order would misplace them.
+const NAMES: [&str; 6] = [
+    "io",
+    "io_errors",
+    "io_errors_x",
+    "latency_us",
+    "l",
+    "served_ios",
+];
+/// Every device label the simulator writes, plus `""`.
+const DEVICES: [&str; 7] = ["", "HDD", "NIC", "NVDIMM", "SSD", "store", "tenant"];
+
+/// One random registry write: kind (counter, gauge, histogram), name,
+/// device, node and value.
+type Write = (u8, usize, usize, u32, f64);
+
+fn writes() -> impl Strategy<Value = Vec<Write>> {
+    let node = (0u8..4, 0u32..4, 0u32..u32::MAX).prop_map(|(k, small, any)| match k {
+        0 => u32::MAX,
+        1 => any,
+        _ => small,
+    });
+    proptest::collection::vec(
+        (0u8..3, 0..NAMES.len(), 0..DEVICES.len(), node, 1.0f64..1e6),
+        0..80,
+    )
+}
+
+/// A flat-keyed reference registry: today's observable order.
+#[derive(Default)]
+struct Reference {
+    counters: BTreeMap<MetricKey, u64>,
+    gauges: BTreeMap<MetricKey, f64>,
+    histograms: BTreeMap<MetricKey, Histogram>,
+}
+
+impl Reference {
+    fn apply(&mut self, reg: &mut MetricsRegistry, ws: &[Write]) {
+        for &(kind, n, d, node, v) in ws {
+            let (name, device) = (NAMES[n], DEVICES[d]);
+            let key = MetricKey::new(name, device, node);
+            match kind {
+                0 => {
+                    reg.counter_add(name, device, node, v as u64);
+                    *self.counters.entry(key).or_insert(0) += v as u64;
+                }
+                1 => {
+                    reg.gauge_set(name, device, node, v);
+                    self.gauges.insert(key, v);
+                }
+                _ => {
+                    reg.observe(name, device, node, v);
+                    self.histograms.entry(key).or_default().add(v);
+                }
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &Reference) {
+        for (k, v) in &other.counters {
+            *self.counters.entry(k.clone()).or_insert(0) += v;
+        }
+        for (k, v) in &other.gauges {
+            self.gauges.insert(k.clone(), *v);
+        }
+        for (k, h) in &other.histograms {
+            self.histograms.entry(k.clone()).or_default().merge(h);
+        }
+    }
+
+    /// Asserts that every listing of `reg` names exactly this reference's
+    /// keys, in its order, with its values.
+    fn check(&self, reg: &MetricsRegistry) {
+        let snap = reg.snapshot();
+        let counters: Vec<(MetricKey, u64)> = snap
+            .counters
+            .iter()
+            .map(|c| (c.key.clone(), c.value))
+            .collect();
+        let want: Vec<(MetricKey, u64)> =
+            self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        assert_eq!(counters, want);
+        let gauges: Vec<(MetricKey, f64)> = snap
+            .gauges
+            .iter()
+            .map(|g| (g.key.clone(), g.value))
+            .collect();
+        let want: Vec<(MetricKey, f64)> =
+            self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        assert_eq!(gauges, want);
+        let hists: Vec<(MetricKey, u64)> = snap
+            .histograms
+            .iter()
+            .map(|h| (h.key.clone(), h.hist.count()))
+            .collect();
+        let want: Vec<(MetricKey, u64)> = self
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.clone(), h.count()))
+            .collect();
+        assert_eq!(hists, want);
+
+        let report = reg.report();
+        assert_eq!(report.counters, snap.counters);
+        assert_eq!(report.gauges, snap.gauges);
+        let summaries = reg.summaries();
+        assert_eq!(report.histograms, summaries);
+        let summary_keys: Vec<MetricKey> = summaries
+            .iter()
+            .map(|s| MetricKey::new(&s.name, &s.device, s.node))
+            .collect();
+        let want: Vec<MetricKey> = self.histograms.keys().cloned().collect();
+        assert_eq!(summary_keys, want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `snapshot()`, `report()` and `summaries()` list exactly the keys of
+    /// a flat `BTreeMap<MetricKey, _>` fed the same writes, in its order —
+    /// also after `merge` and `restore`. This order is what keeps the
+    /// `--metrics` JSON byte-identical.
+    #[test]
+    fn prop_registry_lists_keys_in_metric_key_order(a in writes(), b in writes()) {
+        let (mut reg_a, mut ref_a) = (MetricsRegistry::new(), Reference::default());
+        ref_a.apply(&mut reg_a, &a);
+        ref_a.check(&reg_a);
+
+        let (mut reg_b, mut ref_b) = (MetricsRegistry::new(), Reference::default());
+        ref_b.apply(&mut reg_b, &b);
+        reg_a.merge(&reg_b);
+        ref_a.merge(&ref_b);
+        ref_a.check(&reg_a);
+
+        let restored = MetricsRegistry::restore(&reg_a.snapshot());
+        ref_a.check(&restored);
     }
 }
