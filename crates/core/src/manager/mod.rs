@@ -573,25 +573,13 @@ impl Manager {
         new_workload: &ResidentInfo,
         home: Option<usize>,
     ) -> Option<DatastoreId> {
-        let mut best: Option<(DatastoreId, f64)> = None;
-        for (i, obs) in observations.iter().enumerate() {
-            if !obs.health.available() || obs.free_capacity_blocks < new_workload.size_blocks {
-                continue;
-            }
-            let with_new = self.what_if_us(obs, new_workload, true)
-                + home.map_or(0.0, |h| self.hop_us(h, obs));
-            if !with_new.is_finite() {
-                // The model has no usable estimate for this candidate;
-                // placing on it would be a blind bet.
-                continue;
-            }
-            // Average system performance if placed here (Eq. 4).
-            let mut total = 0.0;
-            let mut norms = Vec::with_capacity(observations.len());
-            for (j, other) in observations.iter().enumerate() {
-                let p = if j == i {
-                    with_new
-                } else if other.health.available() {
+        // Each store's Eq. 5 performance as a bystander does not depend on
+        // the candidate, so it is computed once per call, not once per
+        // candidate (for BCA, one model walk per NVDIMM resident).
+        let bystander: Vec<f64> = observations
+            .iter()
+            .map(|other| {
+                if other.health.available() {
                     // A NaN estimate (zero-IO epoch) contributes no signal.
                     let p = self.device_perf_us(other);
                     if p.is_finite() {
@@ -604,21 +592,41 @@ impl Manager {
                     // faults; it neither helps nor hurts a placement
                     // elsewhere.
                     0.0
-                };
+                }
+            })
+            .collect();
+        let mut best: Option<(DatastoreId, f64)> = None;
+        for (i, obs) in observations.iter().enumerate() {
+            if !obs.health.available() || obs.free_capacity_blocks < new_workload.size_blocks {
+                continue;
+            }
+            let with_new = self.what_if_us(obs, new_workload, true)
+                + home.map_or(0.0, |h| self.hop_us(h, obs));
+            if !with_new.is_finite() {
+                // The model has no usable estimate for this candidate;
+                // placing on it would be a blind bet.
+                continue;
+            }
+            // Average system performance if placed here (Eq. 4), summed in
+            // store order, and the imbalance preview's extremes.
+            let mut total = 0.0;
+            let (mut max_n, mut min_n, mut counted) = (0.0f64, f64::INFINITY, 0usize);
+            for (j, other) in observations.iter().enumerate() {
+                let p = if j == i { with_new } else { bystander[j] };
                 total += p;
                 // Idle devices do not participate in the imbalance
                 // preview — an empty tier is an opportunity, not a hot
                 // spot.
                 if j == i || other.counts_for_imbalance() {
-                    norms.push(p);
+                    max_n = max_n.max(p);
+                    min_n = min_n.min(p);
+                    counted += 1;
                 }
             }
             let avg = total / observations.len() as f64;
             // §5.1.1: reject candidates whose placement would immediately
             // trip the imbalance detector (raw-latency imbalance).
-            let max_n = norms.iter().cloned().fold(0.0f64, f64::max);
-            let min_n = norms.iter().cloned().fold(f64::INFINITY, f64::min);
-            let imbalance = if max_n > 0.0 && norms.len() > 1 {
+            let imbalance = if max_n > 0.0 && counted > 1 {
                 (max_n - min_n) / max_n
             } else {
                 0.0
@@ -816,5 +824,7 @@ impl PolicyEngine for Manager {
 pub mod sharded;
 pub use sharded::{shard_summaries, ShardSummary, ShardedPolicyEngine};
 
+#[cfg(test)]
+mod eq4_oracle;
 #[cfg(test)]
 mod tests;
