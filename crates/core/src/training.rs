@@ -32,7 +32,7 @@ pub(crate) const fn kind_index(kind: DeviceKind) -> usize {
 
 /// Trained models plus baseline characteristics per device kind, all
 /// indexed by `kind_index`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeviceModels {
     models: [PerfModel; 3],
     /// Idle (low-load, contention-free) mean latency per kind, µs.
