@@ -2,6 +2,7 @@
 //! leans on: the event-queue `pop_due` fast path, device-model prediction
 //! (static and online), the LRFU buffer cache (warm hit, bypass probe and
 //! miss-and-evict), the bus-slowdown lookup table, O(1) report building,
+//! the serving plane's per-tenant metric writes and Eq. 4 placement scans,
 //! one full mix scenario, and grid throughput at 1 vs all workers.
 //!
 //! `scripts/bench_snapshot.sh` runs this with `CRITERION_JSON_OUT` set and
@@ -21,6 +22,7 @@ use nvhsm_experiments::mix::{run_mix, MixParams};
 use nvhsm_experiments::Scale;
 use nvhsm_mem::{AnalyticBus, DramConfig};
 use nvhsm_model::Features;
+use nvhsm_obs::MetricsRegistry;
 use nvhsm_sim::{parallel, EventQueue, SimDuration, SimRng, SimTime};
 
 fn bench_pop_due(c: &mut Criterion) {
@@ -293,9 +295,11 @@ fn bench_replay_journal(c: &mut Criterion) {
 fn bench_shard_scan(c: &mut Criterion) {
     // The serving-plane placement kernel at datacenter scale: a warm
     // 1,000-node fleet (3,000 datastores) with load spread across it, one
-    // arriving VMDK to place. The sharded engine scans its home shard
-    // (5 nodes = 15 stores) plus the O(#shards) summary table; the flat
-    // manager scans all 3,000 stores with the O(slice²) Eq. 4 preview.
+    // arriving VMDK to place. The sharded engine binary-searches its home
+    // shard (5 nodes = 15 stores) and scans only that, since the home
+    // shard accepts (the summary table is built only to spill); the flat
+    // manager scans all 3,000 stores: one Eq. 5 evaluation per store, then
+    // the O(slice²) sum and imbalance preview over the candidates.
     let mut cfg = ServingConfig::small(1000);
     cfg.train_requests = 20;
     let mut sim = ServingSim::new(cfg);
@@ -360,6 +364,35 @@ fn bench_shard_scan(c: &mut Criterion) {
     });
 }
 
+fn bench_metrics_settle(c: &mut Criterion) {
+    // `ServingSim::settle_qos` writes one gauge and one counter per live
+    // tenant every epoch. The registry holds 4,096 tenants' keys beside
+    // the lifecycle counters admissions leave behind and per-store
+    // totals; one iteration is one settle pass over every tenant.
+    const TENANTS: u32 = 4096;
+    let mut reg = MetricsRegistry::new();
+    for t in 0..TENANTS {
+        reg.counter_inc("tenant_admitted", "", t);
+        reg.counter_inc("tenant_slo_epochs", "", t);
+        reg.gauge_set("tenant_p99_us", "", t, 0.0);
+        reg.counter_add("served_ios", "tenant", t, 0);
+    }
+    for s in 0..1152 {
+        reg.counter_add("served_ios", "store", s, 1);
+    }
+    c.bench_function("driver/metrics_settle_4k", |b| {
+        let mut epoch = 0.0;
+        b.iter(|| {
+            epoch += 1.0;
+            for t in 0..TENANTS {
+                reg.gauge_set("tenant_p99_us", "", t, epoch + f64::from(t));
+                reg.counter_add("served_ios", "tenant", t, 7_200);
+            }
+            black_box(reg.counter("served_ios", "tenant", TENANTS - 1))
+        })
+    });
+}
+
 /// A deliberately small device-level scenario for grid-throughput runs.
 fn small_scenario(seed: u64) -> f64 {
     let mut dev = SsdDevice::new(SsdConfig::small_test());
@@ -419,6 +452,7 @@ criterion_group!(
     bench_bus_lut,
     bench_report_build,
     bench_replay_journal,
+    bench_metrics_settle,
     bench_shard_scan,
     bench_grid,
     bench_single_scenario
