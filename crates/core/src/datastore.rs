@@ -217,11 +217,6 @@ impl Datastore {
         let e = self.extent_of(vmdk)?;
         (offset < e.len).then_some(e.base + offset)
     }
-
-    /// The extent base of `vmdk`, if placed here.
-    pub fn base_of(&self, vmdk: VmdkId) -> Option<u64> {
-        self.extent_of(vmdk).map(|e| e.base)
-    }
 }
 
 #[cfg(test)]

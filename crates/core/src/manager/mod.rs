@@ -824,6 +824,17 @@ impl PolicyEngine for Manager {
 pub mod sharded;
 pub use sharded::{shard_summaries, ShardSummary, ShardedPolicyEngine};
 
+/// The engine a node or a fleet runs: `manager` itself when `shard_nodes`
+/// is 0, else `manager` behind a [`ShardedPolicyEngine`] of `shard_nodes`
+/// nodes per shard.
+pub(crate) fn build_engine(manager: Manager, shard_nodes: usize) -> Box<dyn PolicyEngine> {
+    if shard_nodes == 0 {
+        Box::new(manager)
+    } else {
+        Box::new(ShardedPolicyEngine::new(manager, shard_nodes))
+    }
+}
+
 #[cfg(test)]
 mod eq4_oracle;
 #[cfg(test)]

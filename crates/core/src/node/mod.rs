@@ -279,14 +279,10 @@ impl NodeSim {
         let mut rng = SimRng::new(seed);
         let models = pretrain_models(cfg.train_requests, rng.next_u64());
         let source = crate::online::ModelSource::from_config(models, cfg.online_model);
-        let mut manager: Box<dyn PolicyEngine> = if cfg.shard_nodes > 0 {
-            Box::new(crate::manager::ShardedPolicyEngine::new(
-                Manager::with_source(cfg.policy, cfg.tau, source),
-                cfg.shard_nodes,
-            ))
-        } else {
-            Box::new(Manager::with_source(cfg.policy, cfg.tau, source))
-        };
+        let mut manager = crate::manager::build_engine(
+            Manager::with_source(cfg.policy, cfg.tau, source),
+            cfg.shard_nodes,
+        );
         // Fold the interconnect into the manager's what-if arithmetic: one
         // hop costs the propagation latency plus one block's wire time, and
         // each migrated block costs its wire time (Eq. 6 extension). With

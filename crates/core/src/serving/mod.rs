@@ -9,8 +9,9 @@
 //! analytic latency model (`baseline + slope × OIO`, the same LQ shape
 //! the manager's baselines assume), and the *real* policy brain behind
 //! the [`PolicyEngine`] seam — the identical `Manager` /
-//! [`ShardedPolicyEngine`] code that drives the request-level simulator,
-//! fed synthesized [`DeviceObservation`]s instead of measured ones.
+//! [`ShardedPolicyEngine`](crate::ShardedPolicyEngine) code that drives the
+//! request-level simulator, fed synthesized [`DeviceObservation`]s instead
+//! of measured ones.
 //!
 //! Each epoch the sim rebuilds observations from the ledgers, runs the
 //! engine's Eq. 5 balance pass (applying any migration instantly — the
@@ -34,15 +35,12 @@
 
 use crate::datastore::DatastoreId;
 use crate::manager::{
-    DeviceHealth, DeviceObservation, Manager, NetworkCosts, PolicyEngine, ResidentInfo,
-    ShardedPolicyEngine,
+    build_engine, DeviceHealth, DeviceObservation, Manager, NetworkCosts, PolicyEngine,
+    ResidentInfo,
 };
 use crate::node::PlacementError;
-use crate::online::{ModelSource, OnlineModelConfig};
 use crate::policy::PolicyKind;
-use crate::training::{
-    pretrain_models, DeviceModels, ModelEvent, ModelObservation, ModelSourceStats,
-};
+use crate::training::{pretrain_models, DeviceModels, ModelObservation, ModelSourceStats};
 use crate::vmdk::VmdkId;
 use nvhsm_device::{DeviceKind, EpochStats};
 use nvhsm_model::Features;
@@ -55,6 +53,24 @@ use std::collections::BTreeMap;
 /// Tiers per node, in store-index order (NVDIMM, SSD, HDD — Fig. 1).
 const TIERS: [DeviceKind; 3] = [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd];
 
+/// The fleet's management policy.
+const POLICY: PolicyKind = PolicyKind::Pesto;
+
+/// Eq. 5 imbalance threshold τ. τ = 1 disables the Eq. 4 imbalance
+/// preview (Δ/max cannot exceed 1). The preview compares latencies
+/// *across tiers*, and at fleet scale the NVDIMM/HDD spread keeps it above
+/// any realistic τ permanently — admission would refuse a fleet with
+/// oceans of free capacity. Serving-plane rejections should be capacity
+/// judgements; epoch balancing still runs the full Eq. 5/6/7 pipeline.
+const TAU: f64 = 1.0;
+
+/// Interconnect hop latency, µs, charged when a VMDK serves off its
+/// tenant's home node.
+const HOP_US: f64 = 120.0;
+
+/// Tail factor: a tenant's p99 ≈ `P99_FACTOR` × its worst mean latency.
+const P99_FACTOR: f64 = 3.0;
+
 /// Serving-plane configuration.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
@@ -63,29 +79,16 @@ pub struct ServingConfig {
     /// Nodes per placement shard (`0` = one unsharded [`Manager`];
     /// `>= nodes` = a single shard, byte-identical to unsharded).
     pub shard_nodes: usize,
-    /// Management policy.
-    pub policy: PolicyKind,
-    /// Eq. 5 imbalance threshold τ.
-    pub tau: f64,
     /// Management epoch length, seconds.
     pub epoch_s: f64,
     /// Per-tier store capacity, blocks (NVDIMM, SSD, HDD).
     pub tier_blocks: [u64; 3],
     /// Admission-control quota: total blocks one tenant may hold.
     pub tenant_quota_blocks: u64,
-    /// Interconnect hop latency, µs (charged when a VMDK serves off its
-    /// tenant's home node).
-    pub hop_us: f64,
-    /// Tail factor: p99 ≈ factor × mean latency.
-    pub p99_factor: f64,
     /// Model-training stream length (see [`pretrain_models`]).
     pub train_requests: usize,
     /// Training seed.
     pub seed: u64,
-    /// Online model updating for the engine (`None` = the static
-    /// pretrained source, byte-identical to builds without the online
-    /// subsystem).
-    pub online_model: Option<OnlineModelConfig>,
 }
 
 impl ServingConfig {
@@ -95,23 +98,11 @@ impl ServingConfig {
         ServingConfig {
             nodes,
             shard_nodes: 0,
-            policy: PolicyKind::Pesto,
-            // τ = 1 disables the Eq. 4 imbalance preview (Δ/max cannot
-            // exceed 1). The preview compares latencies *across tiers*,
-            // and at fleet scale the NVDIMM/HDD spread keeps it above any
-            // realistic τ permanently — admission would refuse a fleet
-            // with oceans of free capacity. Serving-plane rejections
-            // should be capacity judgements; epoch balancing still runs
-            // the full Eq. 5/6/7 pipeline.
-            tau: 1.0,
             epoch_s: 60.0,
             tier_blocks: [80_000, 400_000, 2_000_000],
             tenant_quota_blocks: 150_000,
-            hop_us: 120.0,
-            p99_factor: 3.0,
             train_requests: 30,
             seed: 11,
-            online_model: None,
         }
     }
 }
@@ -181,8 +172,8 @@ pub struct ServingReport {
 pub struct ServingSim {
     cfg: ServingConfig,
     engine: Box<dyn PolicyEngine>,
-    /// The sim's own trained models for latency synthesis (the engine's
-    /// source starts from a clone of them).
+    /// The sim's own trained models for latency synthesis (the engine
+    /// predicts from a clone of them).
     models: DeviceModels,
     stores: Vec<StoreState>,
     vmdks: BTreeMap<u32, VmdkState>,
@@ -207,21 +198,12 @@ impl ServingSim {
     /// Panics if `cfg.nodes` is zero.
     pub fn new(cfg: ServingConfig) -> Self {
         assert!(cfg.nodes > 0, "serving plane needs at least one node");
-        let net = NetworkCosts {
-            hop_us: cfg.hop_us,
-            per_block_us: 0.0,
-        };
         let models = pretrain_models(cfg.train_requests, cfg.seed);
-        let source = ModelSource::from_config(models.clone(), cfg.online_model);
-        let mut engine: Box<dyn PolicyEngine> = if cfg.shard_nodes > 0 {
-            Box::new(ShardedPolicyEngine::new(
-                Manager::with_source(cfg.policy, cfg.tau, source),
-                cfg.shard_nodes,
-            ))
-        } else {
-            Box::new(Manager::with_source(cfg.policy, cfg.tau, source))
-        };
-        engine.set_network(net);
+        let mut engine = build_engine(Manager::new(POLICY, TAU, models.clone()), cfg.shard_nodes);
+        engine.set_network(NetworkCosts {
+            hop_us: HOP_US,
+            per_block_us: 0.0,
+        });
         let tier_blocks = cfg.tier_blocks;
         let stores = (0..cfg.nodes)
             .flat_map(|node| {
@@ -413,10 +395,10 @@ impl ServingSim {
         self.settle_qos();
     }
 
-    /// Feeds the engine's model source this epoch's (features, analytic
-    /// latency) pairs and closes its model epoch — the serving-plane
-    /// mirror of the request-level simulator's feedback tap, so flat and
-    /// sharded engines learn from the same seam at both scales.
+    /// Scores the engine's static model source on this epoch's (features,
+    /// analytic latency) pairs, recording the mean error as
+    /// `pred_error_us`. The source never learns here, so there is no model
+    /// epoch to close.
     fn feed_model(&mut self) {
         let fed: Vec<ModelObservation> = self
             .obs
@@ -440,41 +422,6 @@ impl ServingSim {
             let d_err = (after.err_sum_us - before.err_sum_us).max(0.0);
             self.metrics
                 .observe("pred_error_us", "", 0, d_err / d_count as f64);
-        }
-        let t = self.now_ns;
-        for e in self.engine.end_model_epoch() {
-            match e {
-                ModelEvent::Drift {
-                    kind,
-                    stat_us,
-                    threshold_us,
-                } => {
-                    emit(&self.trace, || TraceEvent::DriftDetected {
-                        t,
-                        device: kind.to_string(),
-                        stat_us,
-                        threshold_us,
-                    });
-                    self.metrics
-                        .counter_inc("model_drifts", &kind.to_string(), 0);
-                }
-                ModelEvent::Refit {
-                    kind,
-                    samples,
-                    err_before_us,
-                    err_after_us,
-                } => {
-                    emit(&self.trace, || TraceEvent::ModelRefit {
-                        t,
-                        device: kind.to_string(),
-                        samples: samples as u64,
-                        err_before_us,
-                        err_after_us,
-                    });
-                    self.metrics
-                        .counter_inc("model_refits", &kind.to_string(), 0);
-                }
-            }
         }
     }
 
@@ -507,12 +454,12 @@ impl ServingSim {
                 let hop = if self.stores[v.store].node == state.home_node {
                     0.0
                 } else {
-                    self.cfg.hop_us
+                    HOP_US
                 };
                 worst_mean = worst_mean.max(store_lat[v.store] + hop);
                 served += (v.demand.iops * self.cfg.epoch_s) as u64;
             }
-            let p99 = worst_mean * self.cfg.p99_factor;
+            let p99 = worst_mean * P99_FACTOR;
             self.report.worst_p99_us = self.report.worst_p99_us.max(p99);
             self.metrics.gauge_set("tenant_p99_us", "", tenant, p99);
             // Served I/O is added to the tenant key here and to the store
@@ -732,7 +679,7 @@ impl ServingSim {
                         {
                             0.0
                         } else {
-                            self.cfg.hop_us
+                            HOP_US
                         };
                         self.resident_info(VmdkId(id), d, lat + hop, si)
                     })

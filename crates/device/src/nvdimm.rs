@@ -77,12 +77,6 @@ pub struct NvdimmConfig {
     /// Every `barrier_interval`-th persistent write acts as an ordering
     /// barrier in the persistent lane.
     pub barrier_interval: u32,
-    /// Access the device through a DAX-style path: the block-layer
-    /// controller overhead is replaced by a sub-microsecond native-memory
-    /// software cost. The paper's conclusion expects "better results ...
-    /// on Linux with DAX in which the NVDIMM performance is enhanced with
-    /// the native memory support" — this switch models that outlook.
-    pub dax: bool,
     /// Extra latency per unit of bus slowdown above idle. A block I/O is
     /// not one clean DMA burst: doorbells, descriptor fetches, completion
     /// polling and per-burst arbitration all queue behind the occupied
@@ -104,7 +98,6 @@ impl NvdimmConfig {
             dram: DramConfig::ddr3_1600(),
             controller_overhead: SimDuration::from_us(3),
             barrier_interval: 8,
-            dax: false,
             contention_sensitivity: SimDuration::from_us(60),
             tuning: MigrationTuning::baseline(),
         }
@@ -120,16 +113,9 @@ impl NvdimmConfig {
             dram: DramConfig::ddr3_1600(),
             controller_overhead: SimDuration::from_us(3),
             barrier_interval: 8,
-            dax: false,
             contention_sensitivity: SimDuration::from_us(60),
             tuning: MigrationTuning::baseline(),
         }
-    }
-
-    /// Same configuration with the DAX-style access path enabled.
-    pub fn with_dax(mut self) -> Self {
-        self.dax = true;
-        self
     }
 
     /// Same configuration with different migration tuning.
@@ -277,16 +263,6 @@ impl NvdimmDevice {
         }
     }
 
-    /// Software-stack cost per request: the block-layer controller path,
-    /// or the near-zero native-memory path under DAX.
-    fn stack_overhead(&self) -> SimDuration {
-        if self.cfg.dax {
-            SimDuration::from_ns(500)
-        } else {
-            self.cfg.controller_overhead
-        }
-    }
-
     /// Protocol-level contention stall for one I/O at the current ambient
     /// utilization: `(slowdown − 1) × contention_sensitivity`.
     fn protocol_stall(&self) -> SimDuration {
@@ -312,7 +288,7 @@ impl NvdimmDevice {
         // produced it; protocol transactions queue behind ambient DRAM
         // traffic.
         let bus_time = self.bus.transfer_time(req.bytes(), self.bus_util);
-        nand_done + bus_time + self.protocol_stall() + self.stack_overhead()
+        nand_done + bus_time + self.protocol_stall() + self.cfg.controller_overhead
     }
 
     fn serve_write(&mut self, req: &IoRequest) -> SimTime {
@@ -347,7 +323,7 @@ impl NvdimmDevice {
                 }
                 done = epoch_done;
             }
-            return done + self.stack_overhead();
+            return done + self.cfg.controller_overhead;
         }
 
         // Normal writes are absorbed by the buffer cache (that is why
@@ -365,7 +341,7 @@ impl NvdimmDevice {
             let start = data_in.max(self.persist_chain);
             self.persist_chain = self.flash.write(req.block, start);
         }
-        data_in + self.stack_overhead()
+        data_in + self.cfg.controller_overhead
     }
 }
 
@@ -639,30 +615,6 @@ mod tests {
         d.discard_block(7);
         assert!(!d.cache().contains(7));
         assert_eq!(d.free_space_ratio(), 1.0);
-    }
-
-    #[test]
-    fn dax_path_is_strictly_faster() {
-        let run = |dax: bool| -> f64 {
-            let cfg = if dax {
-                NvdimmConfig::small_test().with_dax()
-            } else {
-                NvdimmConfig::small_test()
-            };
-            let mut d = NvdimmDevice::new(cfg);
-            d.prefill(0..2_000);
-            let mut t = SimTime::ZERO;
-            let mut sum = 0.0;
-            for i in 0..200u64 {
-                let c = d.submit(&read(i * 7 % 2_000, t));
-                sum += c.latency.as_us_f64();
-                t += SimDuration::from_us(200);
-            }
-            sum / 200.0
-        };
-        let block = run(false);
-        let dax = run(true);
-        assert!(dax < block, "DAX path not faster: {dax} vs {block}");
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //! eviction churn.
 
 use crate::harness::{ExperimentResult, Row, Scale};
-use crate::mix::MixObservation;
-use crate::obs::{ObsOptions, ScenarioObs, TRACE_RING_CAPACITY};
+use crate::obs::{self, Capture, ObsOptions, Observation};
 use nvhsm_core::{
     DatastoreId, MigrationDecision, MigrationMode, NodeCacheConfig, NodeConfig, NodeSim, PolicyKind,
 };
-use nvhsm_obs::{drain_ring_stats, shared, RingSink};
 use nvhsm_sim::SimDuration;
 use nvhsm_workload::WorkloadProfile;
 
@@ -112,7 +110,7 @@ fn sweep_case(
     bypass: bool,
     scale: Scale,
     opts: ObsOptions,
-) -> (CaseOutcome, MixObservation) {
+) -> (CaseOutcome, Observation) {
     let mut cfg = NodeConfig::small();
     cfg.policy = policy;
     cfg.train_requests = scale.train_requests();
@@ -123,15 +121,10 @@ fn sweep_case(
     });
     let epoch = cfg.epoch;
     let mut sim = NodeSim::new(cfg, 42);
+    let capture = Capture::new(opts);
+    capture.attach(&mut sim);
+    // The eviction count reads the registry whether or not it is kept.
     sim.enable_metrics();
-    let sink = if opts.trace {
-        Some(shared(RingSink::new(TRACE_RING_CAPACITY)))
-    } else {
-        None
-    };
-    if let Some(s) = &sink {
-        sim.set_trace_sink(Some(s.clone()));
-    }
     let hot = sim
         .add_workload_on(hot_profile(3_000), 0)
         .expect("hot working set fits the NVDIMM");
@@ -161,28 +154,19 @@ fn sweep_case(
     let active_epochs = report.migration_wall_time.as_ns().div_ceil(epoch.as_ns()) as usize;
     let active = &series[..active_epochs.clamp(1, series.len())];
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let metrics = sim.take_metrics().expect("metrics were enabled");
-    let (events, dropped) = match &sink {
-        Some(s) => drain_ring_stats(s),
-        None => (Vec::new(), 0),
-    };
+    let metrics = sim.metrics().expect("metrics were enabled");
     let outcome = CaseOutcome {
         active_hit_ratio: mean(active),
         window_hit_ratio: mean(&series),
         evictions: metrics.counter("cache_evictions", "NVDIMM", 0) as f64,
         mean_latency_us: report.mean_latency_us,
     };
-    let obs = MixObservation {
-        events,
-        metrics: opts.metrics.then(|| metrics.snapshot()),
-        dropped,
-    };
-    (outcome, obs)
+    (outcome, capture.finish(Some(metrics)))
 }
 
 /// Runs the scan scenario: the hot workload next to a uniform scanner,
 /// with classifier-driven admission on or off.
-fn scan_case(classified: bool, scale: Scale, opts: ObsOptions) -> (CaseOutcome, MixObservation) {
+fn scan_case(classified: bool, scale: Scale, opts: ObsOptions) -> (CaseOutcome, Observation) {
     let mut cfg = NodeConfig::small();
     cfg.policy = PolicyKind::BcaLazyArch;
     cfg.train_requests = scale.train_requests();
@@ -196,15 +180,9 @@ fn scan_case(classified: bool, scale: Scale, opts: ObsOptions) -> (CaseOutcome, 
         ..NodeCacheConfig::paper_scale()
     });
     let mut sim = NodeSim::new(cfg, 42);
+    let capture = Capture::new(opts);
+    capture.attach(&mut sim);
     sim.enable_metrics();
-    let sink = if opts.trace {
-        Some(shared(RingSink::new(TRACE_RING_CAPACITY)))
-    } else {
-        None
-    };
-    if let Some(s) = &sink {
-        sim.set_trace_sink(Some(s.clone()));
-    }
     sim.add_workload_on(hot_profile(4_000), 0)
         .expect("hot working set fits the NVDIMM");
     sim.add_workload_on(scan_profile(), 0)
@@ -214,23 +192,14 @@ fn scan_case(classified: bool, scale: Scale, opts: ObsOptions) -> (CaseOutcome, 
     let report = sim.run_secs(scale.horizon_secs());
     let series: Vec<f64> = report.nvdimm_hit_ratio.iter().map(|&(_, r)| r).collect();
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let metrics = sim.take_metrics().expect("metrics were enabled");
-    let (events, dropped) = match &sink {
-        Some(s) => drain_ring_stats(s),
-        None => (Vec::new(), 0),
-    };
+    let metrics = sim.metrics().expect("metrics were enabled");
     let outcome = CaseOutcome {
         active_hit_ratio: mean(&series),
         window_hit_ratio: mean(&series),
         evictions: metrics.counter("cache_evictions", "NVDIMM", 0) as f64,
         mean_latency_us: report.mean_latency_us,
     };
-    let obs = MixObservation {
-        events,
-        metrics: opts.metrics.then(|| metrics.snapshot()),
-        dropped,
-    };
-    (outcome, obs)
+    (outcome, capture.finish(Some(metrics)))
 }
 
 /// Runs the sweep and scan panels.
@@ -265,24 +234,14 @@ pub fn run(scale: Scale) -> ExperimentResult {
             }
         }
     }
-    let opts = crate::obs::options();
-    let sweep_grid = opts.enabled().then(crate::obs::next_grid);
-    let indexed: Vec<(usize, _)> = grid.into_iter().enumerate().collect();
-    let sweep_rows =
-        nvhsm_sim::parallel::map_grid(indexed, move |(case, (label, capacity, policy, bypass))| {
+    let sweep_rows = obs::map_grid(
+        grid,
+        |(label, ..)| label.clone(),
+        |(label, capacity, policy, bypass), opts| {
             let (outcome, obs) = sweep_case(capacity, policy, bypass, scale, opts);
-            if let Some(grid) = sweep_grid {
-                crate::obs::record(ScenarioObs {
-                    grid,
-                    case: case as u64,
-                    label: label.clone(),
-                    events: obs.events,
-                    metrics: obs.metrics,
-                    dropped: obs.dropped,
-                });
-            }
-            (label, outcome)
-        });
+            ((label, outcome), obs)
+        },
+    );
     for (label, outcome) in &sweep_rows {
         result.push_row(Row::new(label.clone(), outcome.values()));
     }
@@ -300,27 +259,12 @@ pub fn run(scale: Scale) -> ExperimentResult {
     ));
 
     // Scan panel: classifier-driven admission against foreground pollution.
-    let scan_grid = opts.enabled().then(crate::obs::next_grid);
-    let scan_rows = nvhsm_sim::parallel::map_grid(
-        vec![(0usize, false), (1, true)],
-        move |(case, classified)| {
-            let label = if classified {
-                "scan_classified"
-            } else {
-                "scan_plain"
-            };
+    let scan_rows = obs::map_grid(
+        vec![("scan_plain", false), ("scan_classified", true)],
+        |(label, _)| label.to_string(),
+        |(label, classified), opts| {
             let (outcome, obs) = scan_case(classified, scale, opts);
-            if let Some(grid) = scan_grid {
-                crate::obs::record(ScenarioObs {
-                    grid,
-                    case: case as u64,
-                    label: label.to_string(),
-                    events: obs.events,
-                    metrics: obs.metrics,
-                    dropped: obs.dropped,
-                });
-            }
-            (label, outcome)
+            ((label, outcome), obs)
         },
     );
     for (label, outcome) in &scan_rows {

@@ -3,6 +3,7 @@
 //! barrier-respecting baseline, per big-data benchmark.
 
 use crate::harness::{ExperimentResult, Row, Scale};
+use crate::obs::Capture;
 use nvhsm_flash::sched::{simulate_traced, SchedConfig, SchedPolicy, WriteClass, WriteRequest};
 use nvhsm_sim::{SimRng, SimTime};
 use nvhsm_workload::hibench::Benchmark;
@@ -72,48 +73,35 @@ pub fn run(scale: Scale) -> ExperimentResult {
 
     let mut sums = [0.0f64; 3];
     // One grid point per benchmark: each point simulates its trace under
-    // all four policies (the trace is shared within the point).
+    // all four policies (the trace is shared within the point), and
+    // captures all four into one sink, one policy after another.
     let grid: Vec<(usize, Benchmark)> = Benchmark::ALL.iter().copied().enumerate().collect();
-    let cfg_ref = &cfg;
-    // One trace capture per grid point (all four policies into the same
-    // sink, sequentially — the per-point order is serial and thus
-    // deterministic). The grid serial is taken before the fan-out so the
-    // collected order never depends on the worker count.
-    let obs_grid = crate::obs::options().trace.then(crate::obs::next_grid);
-    let rows = nvhsm_sim::parallel::map_grid(grid, move |(bi, b)| {
-        let trace = trace_for(b, n, 140 + bi as u64);
-        let sink = obs_grid
-            .is_some()
-            .then(|| nvhsm_obs::shared(nvhsm_obs::RingSink::new(crate::obs::TRACE_RING_CAPACITY)));
-        let base = simulate_traced(cfg_ref, &trace, SchedPolicy::Baseline, &sink);
-        // The paper's metric is I/O performance across the served writes
-        // (makespan is work-conserving-invariant, latency is not): the
-        // request-weighted mean over persistent and migrated writes.
-        let mean_lat = |s: &nvhsm_flash::SchedStats| -> f64 {
-            0.85 * s.persistent_mean_us + 0.15 * s.migrated_mean_us
-        };
-        let speedup = |p: SchedPolicy| -> f64 {
-            let s = simulate_traced(cfg_ref, &trace, p, &sink);
-            mean_lat(&base) / mean_lat(&s).max(1e-9)
-        };
-        let row = [
-            speedup(SchedPolicy::PolicyOne),
-            speedup(SchedPolicy::PolicyTwo),
-            speedup(SchedPolicy::Both),
-        ];
-        if let (Some(g), Some(s)) = (obs_grid, &sink) {
-            let (events, dropped) = nvhsm_obs::drain_ring_stats(s);
-            crate::obs::record(crate::obs::ScenarioObs {
-                grid: g,
-                case: bi as u64,
-                label: format!("fig14/{}", b.name()),
-                events,
-                metrics: None,
-                dropped,
-            });
-        }
-        row
-    });
+    let rows = crate::obs::map_grid(
+        grid,
+        |(_, b)| format!("fig14/{}", b.name()),
+        |(bi, b), opts| {
+            let trace = trace_for(b, n, 140 + bi as u64);
+            let capture = Capture::new(opts);
+            let sink = capture.sink();
+            let base = simulate_traced(&cfg, &trace, SchedPolicy::Baseline, sink);
+            // The paper's metric is I/O performance across the served writes
+            // (makespan is work-conserving-invariant, latency is not): the
+            // request-weighted mean over persistent and migrated writes.
+            let mean_lat = |s: &nvhsm_flash::SchedStats| -> f64 {
+                0.85 * s.persistent_mean_us + 0.15 * s.migrated_mean_us
+            };
+            let speedup = |p: SchedPolicy| -> f64 {
+                let s = simulate_traced(&cfg, &trace, p, sink);
+                mean_lat(&base) / mean_lat(&s).max(1e-9)
+            };
+            let row = [
+                speedup(SchedPolicy::PolicyOne),
+                speedup(SchedPolicy::PolicyTwo),
+                speedup(SchedPolicy::Both),
+            ];
+            (row, capture.finish(None))
+        },
+    );
     for (b, row) in Benchmark::ALL.iter().zip(rows) {
         for (s, v) in sums.iter_mut().zip(row.iter()) {
             *s += v;

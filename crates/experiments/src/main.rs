@@ -226,21 +226,21 @@ fn dump_observations(
                 grid: s.grid,
                 case: s.case,
                 label: s.label.clone(),
-                events: s.events.len() as u64,
-                dropped: s.dropped,
+                events: s.obs.events.len() as u64,
+                dropped: s.obs.dropped,
             };
             let line = serde_json::to_string(&header)
                 .map_err(|e| format!("cannot serialize trace header: {e}"))?;
             writeln!(out, "{line}").map_err(|e| format!("cannot write trace file: {e}"))?;
-            for event in &s.events {
+            for event in &s.obs.events {
                 let line = serde_json::to_string(event)
                     .map_err(|e| format!("cannot serialize trace event: {e}"))?;
                 writeln!(out, "{line}").map_err(|e| format!("cannot write trace file: {e}"))?;
             }
-            if s.dropped > 0 {
+            if s.obs.dropped > 0 {
                 eprintln!(
                     "note: {id} scenario {} overflowed the trace ring; {} oldest events dropped",
-                    s.label, s.dropped
+                    s.label, s.obs.dropped
                 );
             }
         }
@@ -251,7 +251,7 @@ fn dump_observations(
             scenarios: scenarios
                 .iter()
                 .filter_map(|s| {
-                    s.metrics.as_ref().map(|snap| ScenarioMetrics {
+                    s.obs.metrics.as_ref().map(|snap| ScenarioMetrics {
                         label: s.label.clone(),
                         report: MetricsRegistry::restore(snap).report(),
                     })

@@ -3,10 +3,7 @@
 //! [`SimRng`] is a small SplitMix64 generator: fast, seedable, with good
 //! statistical quality for simulation purposes, and — critically — stable
 //! across platforms and library versions, so experiment outputs are exactly
-//! reproducible from their seeds. It also implements [`rand::RngCore`] so it
-//! can drive any `rand` distribution.
-
-use rand::RngCore;
+//! reproducible from their seeds.
 
 /// A seedable SplitMix64 random number generator with simulation-oriented
 /// helpers.
@@ -126,28 +123,6 @@ impl SimRng {
             }
         }
         weights.len() - 1
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (SimRng::next_u64(self) >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = SimRng::next_u64(self).to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -337,13 +312,5 @@ mod tests {
         for &c in &counts {
             assert!((8_500..11_500).contains(&c), "counts: {counts:?}");
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SimRng::new(37);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Compares two revisions' observable output byte for byte: every
 # experiment at `--quick` with `--json`, `--metrics` and `--trace`, at
-# `--jobs 1` and `--jobs 4`, plus perfbench's report digests.
+# `--jobs 1` and `--jobs 4`; then at `--jobs 2` with `--metrics` alone and
+# with `--trace` alone, since the capture path branches on each flag; plus
+# perfbench's report digests.
 #
 # Usage: scripts/byte_identity.sh <base-rev> [<head-rev>]   (head: HEAD)
 #
@@ -22,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 BASE=$(git rev-parse --verify "$1^{commit}")
@@ -35,6 +37,26 @@ if [ -z "${KEEP:-}" ]; then
 else
     echo "== keeping $WORK" >&2
 fi
+
+# run_all <side> <dir> <flag>...: runs `experiments all --quick --json`
+# with the given flags into <dir>; `--trace` writes <dir>/trace.jsonl.
+run_all() {
+    local side=$1 dir=$2
+    shift 2
+    local flags=()
+    for flag in "$@"; do
+        flags+=("$flag")
+        if [ "$flag" = --trace ]; then
+            flags+=("$dir/trace.jsonl")
+        fi
+    done
+    mkdir -p "$dir/json"
+    echo "== $side: all --quick $*" >&2
+    "$CARGO_TARGET_DIR/release/experiments" all --quick --json "$dir/json" "${flags[@]}" \
+        >"$dir/stdout" 2>"$dir/stderr.raw"
+    grep -v '^wrote ' "$dir/stderr.raw" >"$dir/stderr" || true
+    rm "$dir/stderr.raw"
+}
 
 # build_and_run <side> <rev>: exports <rev>, builds the experiments CLI and
 # perfbench into one target dir, and writes every output under
@@ -49,15 +71,10 @@ build_and_run() {
     (cd "$src" && cargo build -q --release -p nvhsm-experiments)
     (cd "$src" && cargo build -q --release --manifest-path perfbench/Cargo.toml)
     for jobs in 1 4; do
-        local dir="$out/jobs$jobs"
-        mkdir -p "$dir/json"
-        echo "== $side: all --quick --jobs $jobs" >&2
-        "$CARGO_TARGET_DIR/release/experiments" all --quick --jobs "$jobs" \
-            --json "$dir/json" --metrics --trace "$dir/trace.jsonl" \
-            >"$dir/stdout" 2>"$dir/stderr.raw"
-        grep -v '^wrote ' "$dir/stderr.raw" >"$dir/stderr" || true
-        rm "$dir/stderr.raw"
+        run_all "$side" "$out/jobs$jobs" --jobs "$jobs" --metrics --trace
     done
+    run_all "$side" "$out/metrics_only" --jobs 2 --metrics
+    run_all "$side" "$out/trace_only" --jobs 2 --trace
     for w in "${WORKLOADS[@]}"; do
         echo "== $side: perfbench $w" >&2
         # The digest covers the first five repetitions, so one second of
