@@ -1,7 +1,7 @@
 //! Benchmarks of the scenario-parallel driver and the hot-path kernels it
 //! leans on: the event-queue `pop_due` fast path, device-model prediction
-//! (static and online), the LRFU buffer cache (warm hit, bypass probe and
-//! miss-and-evict), the bus-slowdown lookup table, O(1) report building,
+//! (static and online), the LRFU buffer cache (warm hit, bypass probe,
+//! miss-and-evict and paper-scale hits), the bus-slowdown lookup table, O(1) report building,
 //! the serving plane's per-tenant metric writes and Eq. 4 placement scans,
 //! one full mix scenario, and grid throughput at 1 vs all workers.
 //!
@@ -23,6 +23,7 @@ use nvhsm_experiments::Scale;
 use nvhsm_mem::{AnalyticBus, DramConfig};
 use nvhsm_model::Features;
 use nvhsm_obs::MetricsRegistry;
+use nvhsm_sim::rng::Zipf;
 use nvhsm_sim::{parallel, EventQueue, SimDuration, SimRng, SimTime};
 
 fn bench_pop_due(c: &mut Criterion) {
@@ -197,7 +198,7 @@ fn bench_cache_probe(c: &mut Criterion) {
     });
     // The miss side: `mix_steady`'s device cache (4,096 blocks, λ = 0.05)
     // sees HiBench streams far wider than itself, so most accesses evict
-    // the heap minimum and admit — the path neither probe above takes.
+    // the window minimum and admit — the path neither probe above takes.
     // Each iteration replays the next 4,096 accesses of a 64k trace drawn
     // uniformly over 4× capacity (one write in four): once warm, about
     // three accesses in four miss and evict.
@@ -218,6 +219,51 @@ fn bench_cache_probe(c: &mut Criterion) {
                 evictions += cache.access(blk, write).evicted.is_some() as u64;
             }
             black_box(evictions)
+        })
+    });
+    // The hit side at paper scale: `mix_arrivals`' NVDIMM caches hold
+    // 102,400 blocks and hit 95–98 % per epoch, mostly on residents far
+    // from the eviction window. A Zipf (θ = 0.99) trace over 1.5 times the
+    // capacity, its ranks scattered over a 1 GiB device's 2^18 blocks by
+    // an odd multiplier (a bijection mod 2^18), warms the cache with 1M
+    // accesses; each sample replays another 1M-access trace, 4,096
+    // accesses per iteration, from a copy of the warm cache.
+    const PAPER_CAPACITY: usize = 102_400;
+    let zipf = Zipf::new(3 * PAPER_CAPACITY / 2, 0.99);
+    let mut rng = SimRng::new(13);
+    let mut draw = |n: usize| -> Vec<(u64, bool)> {
+        (0..n)
+            .map(|_| {
+                let rank = zipf.sample(&mut rng) as u64;
+                let block = rank.wrapping_mul(0x9E37_79B9) & ((1 << 18) - 1);
+                (block, rng.below(4) == 0)
+            })
+            .collect()
+    };
+    let mut warm = LrfuCache::new(PAPER_CAPACITY, 0.05);
+    for (blk, write) in draw(1 << 20) {
+        warm.access(blk, write);
+    }
+    let trace = draw(1 << 20);
+    let mut probe = warm.clone();
+    probe.reset_counters();
+    for &(blk, write) in &trace {
+        probe.access(blk, write);
+    }
+    assert!(
+        probe.hit_ratio() >= 0.9,
+        "hit ratio {} is below the regime this row stands for",
+        probe.hit_ratio()
+    );
+    c.bench_function("driver/lrfu_hit_102k", |b| {
+        let mut cache = warm.clone();
+        let mut window = trace.chunks(4096).cycle();
+        b.iter(|| {
+            let mut hits = 0u64;
+            for &(blk, write) in window.next().expect("cycle of a non-empty trace") {
+                hits += cache.access(blk, write).hit as u64;
+            }
+            black_box(hits)
         })
     });
 }

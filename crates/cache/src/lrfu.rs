@@ -9,37 +9,58 @@
 //!
 //! Ordering trick: comparing CRFs "now" is equivalent to comparing
 //! `log2(crf) + λ · t_last`, which is constant between updates — so the
-//! victim order needs no global decay sweeps. It is kept as an indexed
-//! binary min-heap over `(rank bits, block)`: each resident entry records
-//! its heap position, so a touch re-sifts one item in place and the victim
-//! is always the root. Ties in rank fall to the lower block id.
+//! victim order needs no global decay sweeps. Ties in rank fall to the
+//! lower block id.
+//!
+//! Bounded window: a CRF sums weights `2^(−λk)` over distinct ages `k`, so
+//! it stays below `C = 1 / (1 − 2^−λ)` and the rank lies in
+//! `[λ·last, λ·last + log2 C)` (Lee et al. make the same observation).
+//! Two residents whose last references are `D = ⌈log2(C) / λ⌉` or more
+//! accesses apart are therefore ordered by recency alone (`D` = 98 at
+//! λ = 0.05), and the victim is always among the residents referenced
+//! fewer than `D + 2` accesses after the oldest one; the extra 2 is a
+//! margin for rounding in the rank. Residents sit on an intrusive recency
+//! list, and only that prefix of the list, the *window*, is kept sorted by
+//! `(rank bits, block)`. Each access sets `last` for one entry, so the
+//! window never holds more than `D + 2` entries, whatever the capacity. A
+//! hit outside the window is an O(1) move to the list's tail with no rank
+//! computed; a miss evicts the window's first item, and the window then
+//! grows along the list. λ = 0 makes `D` infinite: the window is the whole
+//! cache, sorted by count, so every λ stays exact.
 
 use crate::{BufferCache, CacheOutcome};
+use std::collections::VecDeque;
 
-/// Marks a block with no resident entry in the block index.
-const ABSENT: u32 = u32::MAX;
+/// Marks a missing slot: a block with no resident entry in the block
+/// index, or the end of the recency list.
+const NIL: u32 = u32::MAX;
 
 /// A resident block's replacement state, stored in the slab.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     crf: f64,
     last: u64,
-    /// Position of this entry's item in the heap.
-    heap_pos: u32,
+    block: u64,
+    /// Order-preserving bits of the rank (see `rank_bits`); kept current
+    /// only while the entry is in the window.
+    key: u64,
+    /// Recency-list neighbours: the next older and next newer resident.
+    older: u32,
+    newer: u32,
     dirty: bool,
+    in_window: bool,
 }
 
-/// One heap item: the eviction order `(key, block)` plus the slab slot of
+/// One window item: the eviction order `(key, block)` plus the slab slot of
 /// the entry it stands for.
 #[derive(Debug, Clone, Copy)]
-struct HeapItem {
-    /// Order-preserving bits of the f64 rank, see `rank_bits`.
+struct WindowItem {
     key: u64,
     block: u64,
     slot: u32,
 }
 
-impl HeapItem {
+impl WindowItem {
     fn order(&self) -> (u64, u64) {
         (self.key, self.block)
     }
@@ -47,11 +68,11 @@ impl HeapItem {
 
 /// LRFU buffer cache.
 ///
-/// Resident entries live in a slab; the block → slot index is a dense
-/// table that grows to the highest block id ever admitted (4 bytes per
-/// block id, within the block space of the device the cache fronts).
-/// Lookups, `contains`, `invalidate` and misses that do not admit never
-/// grow it.
+/// Resident entries live in a slab, linked oldest to newest by last
+/// reference; the block → slot index is a dense table that grows to the
+/// highest block id ever admitted (4 bytes per block id, within the block
+/// space of the device the cache fronts). Lookups, `contains`,
+/// `invalidate` and misses that do not admit never grow it.
 ///
 /// # Examples
 ///
@@ -65,13 +86,22 @@ impl HeapItem {
 pub struct LrfuCache {
     capacity: usize,
     lambda: f64,
+    /// `D + 2`: a resident is in the window when its last reference came
+    /// fewer than this many accesses after the oldest resident's.
+    span: u64,
     clock: u64,
-    /// Slab of resident entries, densely packed: `len()` is its length.
+    /// Slab of entries; the slots in `free` hold no resident.
     entries: Vec<Entry>,
-    /// Min-heap of resident entries by `(key, block)`; the root is the
-    /// eviction victim.
-    heap: Vec<HeapItem>,
-    /// Block id → slab slot, [`ABSENT`] when not resident.
+    free: Vec<u32>,
+    /// Ends of the recency list.
+    oldest: u32,
+    newest: u32,
+    /// The oldest resident outside the window, [`NIL`] when every resident
+    /// is in it.
+    frontier: u32,
+    /// The window, sorted by `(key, block)`: the front is the victim.
+    window: VecDeque<WindowItem>,
+    /// Block id → slab slot, [`NIL`] when not resident.
     slot_of: Vec<u32>,
     hits: u64,
     misses: u64,
@@ -85,6 +115,17 @@ fn rank_bits(crf: f64, last: u64, lambda: f64) -> u64 {
     let shifted = rank + 1024.0;
     debug_assert!(shifted > 0.0);
     shifted.to_bits()
+}
+
+/// The window span `D + 2` for decay `lambda`, with `D = ⌈log2(C) / λ⌉`
+/// and `C = 1 / (1 − 2^−λ)`; unbounded (`u64::MAX`) at λ = 0.
+fn window_span(lambda: f64) -> u64 {
+    // 1 − 2^−λ, without cancellation at small λ.
+    let one_minus_decay = -(-lambda * std::f64::consts::LN_2).exp_m1();
+    // log2(C) / λ; infinite at λ = 0, which the saturating cast maps to
+    // u64::MAX.
+    let d = (-one_minus_decay.log2() / lambda).ceil();
+    (d as u64).saturating_add(2)
 }
 
 impl LrfuCache {
@@ -103,17 +144,22 @@ impl LrfuCache {
             "lambda must be a non-negative finite number"
         );
         assert!(
-            capacity < ABSENT as usize,
+            capacity < NIL as usize,
             "capacity must fit 32-bit slot numbers"
         );
-        // Slab and heap grow with residency: reserving `capacity` up front
+        // The slab grows with residency: reserving `capacity` up front
         // measurably raised peak RSS (DESIGN.md §13, "LRFU index").
         LrfuCache {
             capacity,
             lambda,
+            span: window_span(lambda),
             clock: 0,
             entries: Vec::new(),
-            heap: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            frontier: NIL,
+            window: VecDeque::new(),
             slot_of: Vec::new(),
             hits: 0,
             misses: 0,
@@ -125,12 +171,12 @@ impl LrfuCache {
         self.lambda
     }
 
-    /// The slab slot holding `block`, or [`ABSENT`].
+    /// The slab slot holding `block`, or [`NIL`].
     fn slot(&self, block: u64) -> u32 {
         usize::try_from(block)
             .ok()
             .and_then(|i| self.slot_of.get(i).copied())
-            .unwrap_or(ABSENT)
+            .unwrap_or(NIL)
     }
 
     /// Points `block`'s index cell at `slot`, growing the table on first
@@ -138,74 +184,114 @@ impl LrfuCache {
     fn set_slot(&mut self, block: u64, slot: u32) {
         let i = usize::try_from(block).expect("block id must fit the address space");
         if i >= self.slot_of.len() {
-            self.slot_of.resize(i + 1, ABSENT);
+            self.slot_of.resize(i + 1, NIL);
         }
         self.slot_of[i] = slot;
     }
 
     fn touch(&mut self, slot: u32, write: bool) {
+        if self.entries[slot as usize].in_window {
+            self.leave_window(slot);
+        }
         let entry = &mut self.entries[slot as usize];
         let elapsed = (self.clock - entry.last) as f64;
         entry.crf = 1.0 + entry.crf * 2f64.powf(-self.lambda * elapsed);
         entry.last = self.clock;
         entry.dirty |= write;
-        let key = rank_bits(entry.crf, entry.last, self.lambda);
-        let pos = entry.heap_pos as usize;
-        self.heap[pos].key = key;
-        self.resift(pos);
+        self.unlink(slot);
+        self.push_newest(slot);
+        self.fill_window();
     }
 
-    /// Writes `item` at heap position `pos` and records the position in
-    /// its entry.
-    fn place(&mut self, pos: usize, item: HeapItem) {
-        self.heap[pos] = item;
-        self.entries[item.slot as usize].heap_pos = pos as u32;
-    }
-
-    /// Restores heap order around `pos` after its key changed in either
-    /// direction.
-    fn resift(&mut self, pos: usize) {
-        let pos = self.sift_up(pos);
-        self.sift_down(pos);
-    }
-
-    fn sift_up(&mut self, mut pos: usize) -> usize {
-        let item = self.heap[pos];
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            let above = self.heap[parent];
-            if above.order() <= item.order() {
-                break;
-            }
-            self.place(pos, above);
-            pos = parent;
+    /// Drops `slot`'s item from the window; its key is still the one it
+    /// entered with.
+    fn leave_window(&mut self, slot: u32) {
+        let entry = &mut self.entries[slot as usize];
+        entry.in_window = false;
+        let order = (entry.key, entry.block);
+        // The front item, the next victim, needs no search.
+        if self.window.front().is_some_and(|item| item.slot == slot) {
+            self.window.pop_front();
+        } else {
+            let pos = self
+                .window
+                .binary_search_by(|item| item.order().cmp(&order))
+                .expect("an entry marked in the window has an item there");
+            self.window.remove(pos);
         }
-        self.place(pos, item);
-        pos
     }
 
-    fn sift_down(&mut self, mut pos: usize) {
-        let item = self.heap[pos];
-        let len = self.heap.len();
-        loop {
-            let left = 2 * pos + 1;
-            if left >= len {
+    /// Takes `slot` off the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Entry { older, newer, .. } = self.entries[slot as usize];
+        match older {
+            NIL => self.oldest = newer,
+            older => self.entries[older as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            newer => self.entries[newer as usize].older = older,
+        }
+        if self.frontier == slot {
+            self.frontier = newer;
+        }
+    }
+
+    /// Appends `slot`, just referenced, at the newest end of the recency
+    /// list, outside the window until `fill_window` takes it in.
+    fn push_newest(&mut self, slot: u32) {
+        let entry = &mut self.entries[slot as usize];
+        entry.older = self.newest;
+        entry.newer = NIL;
+        match self.newest {
+            NIL => self.oldest = slot,
+            newest => self.entries[newest as usize].newer = slot,
+        }
+        self.newest = slot;
+        if self.frontier == NIL {
+            self.frontier = slot;
+        }
+    }
+
+    /// Moves residents from the frontier into the window while their last
+    /// reference lies within `span` of the oldest resident's.
+    fn fill_window(&mut self) {
+        if self.oldest == NIL {
+            return;
+        }
+        let oldest_last = self.entries[self.oldest as usize].last;
+        while self.frontier != NIL {
+            let slot = self.frontier;
+            let entry = &mut self.entries[slot as usize];
+            if entry.last - oldest_last >= self.span {
                 break;
             }
-            let right = left + 1;
-            let child = if right < len && self.heap[right].order() < self.heap[left].order() {
-                right
-            } else {
-                left
+            entry.key = rank_bits(entry.crf, entry.last, self.lambda);
+            entry.in_window = true;
+            self.frontier = entry.newer;
+            let item = WindowItem {
+                key: entry.key,
+                block: entry.block,
+                slot,
             };
-            let below = self.heap[child];
-            if item.order() <= below.order() {
-                break;
+            // The newest reference usually ranks last: search from the back.
+            let mut pos = self.window.len();
+            while pos > 0 && self.window[pos - 1].order() > item.order() {
+                pos -= 1;
             }
-            self.place(pos, below);
-            pos = child;
+            self.window.insert(pos, item);
         }
-        self.place(pos, item);
+    }
+
+    /// Takes the resident in `slot`, already out of the window, off the
+    /// recency list and the block index and frees its slot; returns its
+    /// dirty flag.
+    fn release(&mut self, slot: u32) -> bool {
+        let Entry { block, dirty, .. } = self.entries[slot as usize];
+        self.slot_of[block as usize] = NIL;
+        self.unlink(slot);
+        self.free.push(slot);
+        dirty
     }
 }
 
@@ -213,7 +299,7 @@ impl BufferCache for LrfuCache {
     fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
         self.clock += 1;
         let slot = self.slot(block);
-        if slot != ABSENT {
+        if slot != NIL {
             self.touch(slot, write);
             self.hits += 1;
             return CacheOutcome::hit();
@@ -223,64 +309,57 @@ impl BufferCache for LrfuCache {
             // Never admits: the disabled configuration is a pure pass-through.
             return CacheOutcome::miss(None);
         }
+        let evicted = if self.len() >= self.capacity {
+            let victim = self
+                .window
+                .pop_front()
+                .expect("a non-empty cache has a non-empty window");
+            self.entries[victim.slot as usize].in_window = false;
+            Some((victim.block, self.release(victim.slot)))
+        } else {
+            None
+        };
         let entry = Entry {
             crf: 1.0,
             last: self.clock,
-            heap_pos: 0,
+            block,
+            key: 0,
+            older: NIL,
+            newer: NIL,
             dirty: write,
+            in_window: false,
         };
-        let key = rank_bits(1.0, self.clock, self.lambda);
-        if self.entries.len() >= self.capacity {
-            // Full (so the heap is non-empty): the root is the victim. The
-            // newcomer takes over its slab slot and its place at the root.
-            let victim = self.heap[0];
-            let dirty = self.entries[victim.slot as usize].dirty;
-            self.slot_of[victim.block as usize] = ABSENT;
-            self.entries[victim.slot as usize] = entry;
-            self.set_slot(block, victim.slot);
-            self.heap[0] = HeapItem {
-                key,
-                block,
-                slot: victim.slot,
-            };
-            self.sift_down(0);
-            return CacheOutcome::miss(Some((victim.block, dirty)));
-        }
-        let slot = self.entries.len() as u32;
-        self.entries.push(entry);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+        };
         self.set_slot(block, slot);
-        self.heap.push(HeapItem { key, block, slot });
-        self.sift_up(self.heap.len() - 1);
-        CacheOutcome::miss(None)
+        self.push_newest(slot);
+        self.fill_window();
+        CacheOutcome::miss(evicted)
     }
 
     fn invalidate(&mut self, block: u64) -> Option<bool> {
         let slot = self.slot(block);
-        if slot == ABSENT {
+        if slot == NIL {
             return None;
         }
-        self.slot_of[block as usize] = ABSENT;
-        // Unlink the heap item: the last item fills its hole and re-sifts.
-        let pos = self.entries[slot as usize].heap_pos as usize;
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.heap.pop();
-        if pos < last {
-            self.place(pos, self.heap[pos]);
-            self.resift(pos);
+        if self.entries[slot as usize].in_window {
+            self.leave_window(slot);
         }
-        // Compact the slab: the last entry moves into the freed slot.
-        let removed = self.entries.swap_remove(slot as usize);
-        if let Some(moved) = self.entries.get(slot as usize) {
-            let item = &mut self.heap[moved.heap_pos as usize];
-            item.slot = slot;
-            self.slot_of[item.block as usize] = slot;
-        }
-        Some(removed.dirty)
+        let dirty = self.release(slot);
+        self.fill_window();
+        Some(dirty)
     }
 
     fn contains(&self, block: u64) -> bool {
-        self.slot(block) != ABSENT
+        self.slot(block) != NIL
     }
 
     fn capacity(&self) -> usize {
@@ -288,7 +367,7 @@ impl BufferCache for LrfuCache {
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.free.len()
     }
 
     fn hits(&self) -> u64 {
@@ -460,6 +539,64 @@ mod tests {
         }
         assert_eq!(c.inner().slot_of.len(), admitted);
         assert_eq!(c.len(), 3);
+    }
+
+    /// Checks the recency list, the window and the block index against
+    /// each other.
+    fn assert_consistent(c: &LrfuCache) {
+        let mut list = Vec::new();
+        let mut slot = c.oldest;
+        while slot != NIL {
+            list.push(slot);
+            slot = c.entries[slot as usize].newer;
+        }
+        assert_eq!(list.len(), c.len());
+        assert_eq!(list.last().copied().unwrap_or(NIL), c.newest);
+        let lasts: Vec<u64> = list.iter().map(|&s| c.entries[s as usize].last).collect();
+        assert!(lasts.windows(2).all(|w| w[0] < w[1]), "list out of order");
+        // The window is the prefix of the list within `span` of the
+        // oldest resident, and the frontier is the first resident after it.
+        let width = lasts
+            .iter()
+            .take_while(|&&last| last - lasts[0] < c.span)
+            .count();
+        assert_eq!(c.window.len(), width);
+        assert_eq!(list.get(width).copied().unwrap_or(NIL), c.frontier);
+        for (i, &slot) in list.iter().enumerate() {
+            let e = c.entries[slot as usize];
+            assert_eq!(e.in_window, i < width);
+            assert_eq!(c.slot(e.block), slot);
+        }
+        assert!(c
+            .window
+            .iter()
+            .zip(c.window.iter().skip(1))
+            .all(|(a, b)| a.order() < b.order()));
+        for item in &c.window {
+            let e = c.entries[item.slot as usize];
+            assert!(e.in_window && e.block == item.block);
+            assert_eq!(item.key, rank_bits(e.crf, e.last, c.lambda));
+        }
+    }
+
+    #[test]
+    fn window_is_the_sorted_prefix_of_the_recency_list() {
+        // D + 2 at each λ: infinite, Table 4's 98 + 2, 9 + 2 and 1 + 2.
+        for (lambda, span) in [(0.0, u64::MAX), (0.05, 100), (0.3, 11), (10.0, 3)] {
+            assert_eq!(window_span(lambda), span, "λ {lambda}");
+            let mut rng = SimRng::new(7);
+            let mut c = LrfuCache::new(150, lambda);
+            for _ in 0..3_000 {
+                let b = rng.below(300);
+                if rng.below(8) == 0 {
+                    c.invalidate(b);
+                } else {
+                    c.access(b * b / 300, rng.below(4) == 0);
+                }
+                assert_consistent(&c);
+                assert!(c.window.len() as u64 <= span);
+            }
+        }
     }
 
     #[test]

@@ -469,21 +469,20 @@ impl NodeSim {
 
     /// Device-kind label and node index of datastore `ds`, the key pair
     /// metrics are registered under.
-    fn obs_key(&self, ds: usize) -> (String, u32) {
+    fn obs_key(&self, ds: usize) -> (&'static str, u32) {
         (
-            self.datastores[ds].device().kind().to_string(),
+            self.datastores[ds].device().kind().label(),
             self.datastores[ds].node() as u32,
         )
     }
 
     /// Runs `f` against the metrics registry when metrics are enabled; the
-    /// key strings for datastore `ds` are only built when a registry exists,
-    /// keeping the disabled path allocation-free.
+    /// key for datastore `ds` is only looked up when a registry exists.
     fn with_metrics(&mut self, ds: usize, f: impl FnOnce(&mut MetricsRegistry, &str, u32)) {
         if self.metrics.is_some() {
             let (dev, node) = self.obs_key(ds);
             if let Some(m) = &mut self.metrics {
-                f(m, &dev, node);
+                f(m, dev, node);
             }
         }
     }

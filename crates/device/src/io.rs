@@ -16,13 +16,21 @@ pub enum DeviceKind {
     Hdd,
 }
 
+impl DeviceKind {
+    /// The tier's display name, as `Display` writes it ("NVDIMM", "SSD",
+    /// "HDD"); metric keys use it without allocating.
+    pub fn label(self) -> &'static str {
+        match self {
+            DeviceKind::Nvdimm => "NVDIMM",
+            DeviceKind::Ssd => "SSD",
+            DeviceKind::Hdd => "HDD",
+        }
+    }
+}
+
 impl fmt::Display for DeviceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeviceKind::Nvdimm => write!(f, "NVDIMM"),
-            DeviceKind::Ssd => write!(f, "SSD"),
-            DeviceKind::Hdd => write!(f, "HDD"),
-        }
+        f.write_str(self.label())
     }
 }
 

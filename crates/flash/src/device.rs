@@ -8,7 +8,7 @@
 use crate::chip::{Chip, ChipOp};
 use crate::config::FlashConfig;
 use crate::ftl::{Lpn, PageFtl};
-use nvhsm_sim::{OnlineStats, SimTime};
+use nvhsm_sim::{OnlineStats, SimDuration, SimTime};
 
 /// Kind of a completed flash operation, for accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,6 +38,8 @@ pub struct FlashDevice {
     ftl: PageFtl,
     chips: Vec<Chip>,
     channel_bus_free: Vec<SimTime>,
+    /// `cfg.page_transfer_time()`, paid on every bus transfer.
+    page_transfer: SimDuration,
     write_latency: OnlineStats,
     gc_stall_ns: u64,
 }
@@ -55,6 +57,7 @@ impl FlashDevice {
             .collect();
         let channel_bus_free = vec![SimTime::ZERO; cfg.channels];
         FlashDevice {
+            page_transfer: cfg.page_transfer_time(),
             cfg,
             ftl,
             chips,
@@ -82,7 +85,7 @@ impl FlashDevice {
     /// than `at`; returns the transfer completion time.
     fn bus_transfer(&mut self, channel: usize, at: SimTime) -> SimTime {
         let start = at.max(self.channel_bus_free[channel]);
-        let done = start + self.cfg.page_transfer_time();
+        let done = start + self.page_transfer;
         self.channel_bus_free[channel] = done;
         done
     }
