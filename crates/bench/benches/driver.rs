@@ -1,5 +1,5 @@
 //! Benchmarks of the scenario-parallel driver and the hot-path kernels it
-//! leans on: the event-queue `pop_due` fast path, device-model prediction
+//! leans on: the event-queue wake-up loop, device-model prediction
 //! (static and online), the LRFU buffer cache (warm hit, bypass probe,
 //! miss-and-evict and paper-scale hits), the bus-slowdown lookup table, O(1) report building,
 //! the serving plane's per-tenant metric writes and Eq. 4 placement scans,
@@ -26,69 +26,35 @@ use nvhsm_obs::MetricsRegistry;
 use nvhsm_sim::rng::Zipf;
 use nvhsm_sim::{parallel, EventQueue, SimDuration, SimRng, SimTime};
 
-fn bench_pop_due(c: &mut Criterion) {
-    // 1024 events over 1 ms of virtual time, drained in 2 µs deadline
-    // steps (so roughly half the probes hit the fast not-due branch).
-    c.bench_function("driver/event_queue_pop_due_1k", |b| {
-        let mut rng = SimRng::new(1);
+fn bench_event_queue(c: &mut Criterion) {
+    // NodeSim's wake-up queue as `mix_arrivals` drives it: ten workloads,
+    // one pending wake-up each, every one re-armed at an exponential gap
+    // (mean 1 ms) once it drains. One iteration is 4,096 wake-ups, each a
+    // `next_time` + `drain_due`. The gaps are drawn up front so the row
+    // times the queue, not the RNG.
+    const WORKLOADS: u32 = 10;
+    const WAKEUPS: usize = 4096;
+    let mut rng = SimRng::new(1);
+    let gaps: Vec<SimDuration> = (0..WAKEUPS)
+        .map(|_| SimDuration::from_ns_f64(rng.exponential(1e6)).max(SimDuration::from_ns(1)))
+        .collect();
+    c.bench_function("driver/event_queue_ready_10", |b| {
+        let mut batch: Vec<(SimTime, u32)> = Vec::with_capacity(WORKLOADS as usize);
+        let mut next_gap = gaps.iter().cycle();
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
-            q.reserve(1024);
-            for i in 0..1024u64 {
-                q.push(SimTime::from_ns(rng.below(1_000_000)), i);
+            let mut q = EventQueue::new();
+            for wi in 0..WORKLOADS {
+                q.push(SimTime::ZERO + *next_gap.next().unwrap(), wi);
             }
             let mut acc = 0u64;
-            let mut now = SimTime::ZERO;
-            while !q.is_empty() {
-                while let Some((_, e)) = q.pop_due(now) {
-                    acc = acc.wrapping_add(e);
-                }
-                now += SimDuration::from_ns(2_000);
-            }
-            black_box(acc)
-        })
-    });
-    // Same schedule through the batch `drain_due` API instead of one
-    // `pop_due` call per event.
-    c.bench_function("driver/event_queue_drain_due_1k", |b| {
-        let mut rng = SimRng::new(1);
-        let mut batch: Vec<(SimTime, u64)> = Vec::with_capacity(1024);
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
-            q.reserve(1024);
-            for i in 0..1024u64 {
-                q.push(SimTime::from_ns(rng.below(1_000_000)), i);
-            }
-            let mut acc = 0u64;
-            let mut now = SimTime::ZERO;
-            while !q.is_empty() {
+            for _ in 0..WAKEUPS {
+                let now = q.next_time().expect("every workload stays armed");
                 batch.clear();
                 q.drain_due(now, &mut batch);
-                for &(_, e) in &batch {
-                    acc = acc.wrapping_add(e);
+                for &(t, wi) in &batch {
+                    acc = acc.wrapping_add(u64::from(wi));
+                    q.push(t + *next_gap.next().unwrap(), wi);
                 }
-                now += SimDuration::from_ns(2_000);
-            }
-            black_box(acc)
-        })
-    });
-    // Baseline: the pre-optimization shape — peek to check the deadline,
-    // then pop as a second queue access.
-    c.bench_function("driver/event_queue_peek_then_pop_1k", |b| {
-        let mut rng = SimRng::new(1);
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(1024);
-            for i in 0..1024u64 {
-                q.push(SimTime::from_ns(rng.below(1_000_000)), i);
-            }
-            let mut acc = 0u64;
-            let mut now = SimTime::ZERO;
-            while !q.is_empty() {
-                while q.peek().is_some_and(|(t, _)| t <= now) {
-                    let (_, e) = q.pop().expect("peeked entry");
-                    acc = acc.wrapping_add(e);
-                }
-                now += SimDuration::from_ns(2_000);
             }
             black_box(acc)
         })
@@ -492,7 +458,7 @@ fn bench_single_scenario(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_pop_due,
+    bench_event_queue,
     bench_predict,
     bench_cache_probe,
     bench_bus_lut,

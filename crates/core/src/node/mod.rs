@@ -462,11 +462,6 @@ impl NodeSim {
         self.metrics.as_ref()
     }
 
-    /// Takes the metrics registry out, leaving metrics enabled but empty.
-    pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        self.metrics.replace(MetricsRegistry::new())
-    }
-
     /// Device-kind label and node index of datastore `ds`, the key pair
     /// metrics are registered under.
     fn obs_key(&self, ds: usize) -> (&'static str, u32) {
@@ -757,8 +752,8 @@ impl NodeSim {
     /// Each loop iteration is one wake-up instant `t`, and everything due
     /// at `t` is processed in a fixed priority order — utilization update,
     /// epoch boundary, migration copy rounds, then all workload requests
-    /// in workload-index order (batch-drained from the calendar queue in
-    /// one call). The order matches the retired one-event-per-iteration
+    /// in workload-index order (batch-drained from the event queue in one
+    /// call). The order matches the retired one-event-per-iteration
     /// loop exactly: serving never re-arms anything at `t` (generators
     /// advance strictly, copy rounds reschedule past `now`), and the only
     /// same-instant cascade — an epoch decision starting a migration due

@@ -21,7 +21,7 @@ use crate::StorageDevice;
 use nvhsm_cache::{AccessClass, BufferCache, BypassCache, CacheOutcome, LrfuCache};
 use nvhsm_fault::DeviceFaultHook;
 use nvhsm_flash::{FlashConfig, FlashDevice};
-use nvhsm_mem::{AnalyticBus, BusModel, DramConfig};
+use nvhsm_mem::{AnalyticBus, DramConfig};
 use nvhsm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 

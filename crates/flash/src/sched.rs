@@ -280,11 +280,11 @@ fn simulate_inner(
     let mut discarded = 0u64;
     let mut last_done = SimTime::ZERO;
 
-    // All events due at one instant are batch-drained in a single calendar
-    // sweep, then applied in (time, seq) order — exactly the order the
-    // retired pop-per-iteration loop produced, since anything pushed while
-    // the batch is in flight carries a higher sequence number and lands in
-    // a later drain.
+    // All events due at one instant are batch-drained in one call, then
+    // applied in (time, seq) order — exactly the order the retired
+    // pop-per-iteration loop produced, since anything pushed while the
+    // batch is in flight carries a higher sequence number and lands in a
+    // later drain.
     let mut batch: Vec<(SimTime, Event)> = Vec::new();
     while let Some(now) = events.next_time() {
         batch.clear();

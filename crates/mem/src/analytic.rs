@@ -16,25 +16,6 @@ use crate::traffic::{rate_for_utilization, PoissonTraffic};
 use nvhsm_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// How an NVDIMM transfer experiences the shared memory bus.
-///
-/// Implemented by [`AnalyticBus`] (closed form / calibrated curve); the
-/// detailed path goes through [`DramSystem::nvdimm_transfer`] directly.
-pub trait BusModel {
-    /// Bus time to move `bytes` when competing DRAM traffic occupies the
-    /// channel at `utilization` ∈ [0, 1).
-    fn transfer_time(&self, bytes: u64, utilization: f64) -> SimDuration;
-
-    /// Bus time to move `bytes` on an idle channel.
-    fn ideal_time(&self, bytes: u64) -> SimDuration;
-
-    /// Contention component of a transfer.
-    fn contention(&self, bytes: u64, utilization: f64) -> SimDuration {
-        self.transfer_time(bytes, utilization)
-            .saturating_sub(self.ideal_time(bytes))
-    }
-}
-
 /// A piecewise-linear utilization → slowdown curve.
 ///
 /// Slowdown is `realized_time / ideal_time ≥ 1` for an NVDIMM transfer.
@@ -100,12 +81,14 @@ impl CalibrationCurve {
     }
 }
 
-/// Closed-form / calibrated bus model.
+/// Closed-form / calibrated bus model: how an NVDIMM transfer experiences
+/// the shared memory bus. The detailed path goes through
+/// [`DramSystem::nvdimm_transfer`] directly.
 ///
 /// # Examples
 ///
 /// ```
-/// use nvhsm_mem::{AnalyticBus, BusModel, DramConfig};
+/// use nvhsm_mem::{AnalyticBus, DramConfig};
 ///
 /// let bus = AnalyticBus::new(&DramConfig::ddr3_1600());
 /// let idle = bus.transfer_time(4096, 0.0);
@@ -165,16 +148,17 @@ impl AnalyticBus {
         let s0 = self.lut[i];
         s0 + f * (self.lut[i + 1] - s0)
     }
-}
 
-impl BusModel for AnalyticBus {
-    fn transfer_time(&self, bytes: u64, utilization: f64) -> SimDuration {
+    /// Bus time to move `bytes` when competing DRAM traffic occupies the
+    /// channel at `utilization` ∈ [0, 1).
+    pub fn transfer_time(&self, bytes: u64, utilization: f64) -> SimDuration {
         let bursts = bytes.div_ceil(self.line_bytes) as f64;
         let ideal_ns = bursts * self.burst_ns;
         SimDuration::from_ns_f64(ideal_ns * self.slowdown(utilization))
     }
 
-    fn ideal_time(&self, bytes: u64) -> SimDuration {
+    /// Bus time to move `bytes` on an idle channel.
+    pub fn ideal_time(&self, bytes: u64) -> SimDuration {
         let bursts = bytes.div_ceil(self.line_bytes) as f64;
         SimDuration::from_ns_f64(bursts * self.burst_ns)
     }
@@ -288,7 +272,6 @@ mod tests {
         let bus = AnalyticBus::new(&DramConfig::ddr3_1600());
         assert_eq!(bus.ideal_time(4096).as_ns(), 320);
         assert_eq!(bus.transfer_time(4096, 0.0), bus.ideal_time(4096));
-        assert_eq!(bus.contention(4096, 0.0), SimDuration::ZERO);
     }
 
     #[test]

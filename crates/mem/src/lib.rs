@@ -38,7 +38,7 @@ pub mod config;
 pub mod system;
 pub mod traffic;
 
-pub use analytic::{AnalyticBus, BusModel, CalibrationCurve};
+pub use analytic::{AnalyticBus, CalibrationCurve};
 pub use config::DramConfig;
 pub use system::{DramSystem, MemOp, MemRequest, TransferOutcome};
 pub use traffic::PoissonTraffic;

@@ -1,4 +1,3 @@
-use super::heap::HeapEventQueue;
 use super::*;
 use crate::time::SimDuration;
 use proptest::prelude::*;
@@ -26,71 +25,14 @@ fn fifo_within_one_timestamp() {
     }
 }
 
-#[test]
-fn pop_due_respects_now() {
-    let mut q = EventQueue::new();
-    q.push(SimTime::from_ns(10), 'x');
-    assert!(q.pop_due(SimTime::from_ns(9)).is_none());
-    assert_eq!(
-        q.pop_due(SimTime::from_ns(10)),
-        Some((SimTime::from_ns(10), 'x'))
-    );
-    assert!(q.pop_due(SimTime::MAX).is_none());
-}
-
-#[test]
-fn peek_and_len() {
-    let mut q = EventQueue::new();
-    assert!(q.is_empty());
-    assert_eq!(q.next_time(), None);
-    q.push(SimTime::from_ns(4), "e");
-    assert_eq!(q.len(), 1);
-    assert_eq!(q.peek(), Some((SimTime::from_ns(4), &"e")));
-    assert_eq!(q.next_time(), Some(SimTime::from_ns(4)));
-    q.clear();
-    assert!(q.is_empty());
-}
-
-#[test]
-fn collects_from_iterator() {
-    let q: EventQueue<u32> = vec![(SimTime::from_ns(2), 2), (SimTime::from_ns(1), 1)]
-        .into_iter()
-        .collect();
-    assert_eq!(q.len(), 2);
-    assert_eq!(q.next_time(), Some(SimTime::from_ns(1)));
-}
-
-/// `clear()` keeps the monotone sequence counter (documented decision):
-/// events pushed after a clear must never tie-break ahead of where they
-/// would have landed relative to pre-clear pushes at the same timestamp.
-#[test]
-fn clear_keeps_seq_monotone() {
-    let mut q = EventQueue::new();
-    q.push(SimTime::from_ns(5), 'a');
-    q.push(SimTime::from_ns(5), 'b');
-    q.clear();
-    assert!(q.is_empty());
-    // Post-clear pushes at the same timestamp still pop in push order —
-    // trivially true here, but with a reset counter a later interleaving
-    // with surviving references to pre-clear seq values could reorder.
-    q.push(SimTime::from_ns(5), 'c');
-    q.push(SimTime::from_ns(5), 'd');
-    assert_eq!(q.pop(), Some((SimTime::from_ns(5), 'c')));
-    assert_eq!(q.pop(), Some((SimTime::from_ns(5), 'd')));
-    // The counter itself must have kept counting across the clear.
-    assert_eq!(q.seq, 4);
-}
-
-/// Exercises the far level and the wheel advance across many rotations:
-/// events span well past the 256-slot horizon.
+/// Near and far-future pushes interleaved, spanning many milliseconds.
 #[test]
 fn far_future_events_pop_in_order() {
     let mut q = EventQueue::new();
-    let step = SimDuration::from_us(100); // ~24 buckets apart, > horizon in aggregate
+    let step = SimDuration::from_us(100);
     let mut t = SimTime::ZERO;
     let mut expect = Vec::new();
     for i in 0..500u32 {
-        // Interleave near and far pushes.
         let at = if i % 3 == 0 { t } else { t + step * 37 };
         q.push(at, i);
         expect.push((at, i));
@@ -101,9 +43,8 @@ fn far_future_events_pop_in_order() {
     assert_eq!(got, expect);
 }
 
-/// A push earlier than everything pending (wheel rebase path).
 #[test]
-fn earlier_push_rebases_wheel() {
+fn push_earlier_than_everything_pending_pops_first() {
     let mut q = EventQueue::new();
     q.push(SimTime::from_ns(50_000_000), 'z');
     q.push(SimTime::from_ns(40_000_000), 'y');
@@ -142,24 +83,80 @@ fn drain_due_batches_whole_timestamps() {
     assert!(q.is_empty());
 }
 
-/// One scripted operation for the equivalence harness.
+/// One scripted operation for the model check.
 #[derive(Debug, Clone)]
 enum Op {
     Push(u64),
     Pop,
-    PopDue(u64),
     DrainDue(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Pushes weighted 3:1:1:1 against the consuming operations so the
-    // queues hold substantial state when pops and drains hit them.
-    (0u8..6, 0u64..2_000_000).prop_map(|(kind, t)| match kind {
+    // Pushes weighted 3:1:1 against the consuming operations so the queue
+    // holds substantial state when pops and drains hit it.
+    (0u8..5, 0u64..2_000_000).prop_map(|(kind, t)| match kind {
         0..=2 => Op::Push(t),
         3 => Op::Pop,
-        4 => Op::PopDue(t),
         _ => Op::DrainDue(t),
     })
+}
+
+/// The reference the random operation sequences are checked against:
+/// pending events in a `Vec` sorted by `(time, push order)`.
+#[derive(Default)]
+struct SortedVecModel(Vec<(SimTime, u32)>);
+
+impl SortedVecModel {
+    fn push(&mut self, time: SimTime, id: u32) {
+        // A later push sorts after every pending event at the same time.
+        let at = self.0.partition_point(|&(t, _)| t <= time);
+        self.0.insert(at, (time, id));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        (!self.0.is_empty()).then(|| self.0.remove(0))
+    }
+
+    fn drain_due(&mut self, now: SimTime, out: &mut Vec<(SimTime, u32)>) -> usize {
+        let due = self.0.partition_point(|&(t, _)| t <= now);
+        out.extend(self.0.drain(..due));
+        due
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.0.first().map(|&(t, _)| t)
+    }
+}
+
+/// Drives the queue and the sorted-`Vec` model through `ops`, with every
+/// timestamp mapped through `at`, and asserts identical outputs, `len` and
+/// `next_time` after every step and identical tails at the end.
+fn check_against_model(ops: &[Op], at: impl Fn(u64) -> SimTime) {
+    let mut q: EventQueue<u32> = EventQueue::new();
+    let mut model = SortedVecModel::default();
+    let mut id = 0u32;
+    for op in ops {
+        match *op {
+            Op::Push(t) => {
+                q.push(at(t), id);
+                model.push(at(t), id);
+                id += 1;
+            }
+            Op::Pop => assert_eq!(q.pop(), model.pop()),
+            Op::DrainDue(now) => {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                assert_eq!(
+                    q.drain_due(at(now), &mut a),
+                    model.drain_due(at(now), &mut b)
+                );
+                assert_eq!(a, b);
+            }
+        }
+        assert_eq!(q.next_time(), model.next_time());
+        assert_eq!(q.len(), model.0.len());
+    }
+    let tail: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
+    assert_eq!(tail, model.0);
 }
 
 proptest! {
@@ -197,79 +194,19 @@ proptest! {
         prop_assert_eq!(popped, expect);
     }
 
-    /// Ordering-oracle equivalence: the calendar queue and the binary-heap
-    /// queue, driven by the same random sequence of push/pop/pop_due/
-    /// drain_due operations, produce identical output streams at every
-    /// step (and agree on next_time/len throughout).
+    /// Random push/pop/drain_due sequences over uniform timestamps match
+    /// the sorted-`Vec` model step for step.
     #[test]
-    fn prop_equivalent_to_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut oracle: HeapEventQueue<u32> = HeapEventQueue::new();
-        let mut id = 0u32;
-        for op in &ops {
-            match *op {
-                Op::Push(t) => {
-                    cal.push(SimTime::from_ns(t), id);
-                    oracle.push(SimTime::from_ns(t), id);
-                    id += 1;
-                }
-                Op::Pop => {
-                    prop_assert_eq!(cal.pop(), oracle.pop());
-                }
-                Op::PopDue(now) => {
-                    let now = SimTime::from_ns(now);
-                    prop_assert_eq!(cal.pop_due(now), oracle.pop_due(now));
-                }
-                Op::DrainDue(now) => {
-                    let now = SimTime::from_ns(now);
-                    let (mut a, mut b) = (Vec::new(), Vec::new());
-                    let na = cal.drain_due(now, &mut a);
-                    let nb = oracle.drain_due(now, &mut b);
-                    prop_assert_eq!(na, nb);
-                    prop_assert_eq!(a, b);
-                }
-            }
-            prop_assert_eq!(cal.next_time(), oracle.next_time());
-            prop_assert_eq!(cal.len(), oracle.len());
-        }
-        // Drain whatever remains and compare the tails.
-        let a: Vec<(SimTime, u32)> = std::iter::from_fn(|| cal.pop()).collect();
-        let b: Vec<(SimTime, u32)> = std::iter::from_fn(|| oracle.pop()).collect();
-        prop_assert_eq!(a, b);
+    fn prop_matches_sorted_vec_model(ops in proptest::collection::vec(op_strategy(), 1..300)) {
+        check_against_model(&ops, SimTime::from_ns);
     }
 
-    /// Clustered timestamps (many events per bucket, the simulator's
-    /// actual shape) through the same oracle check.
+    /// The same check with timestamps quantized onto seven instants, so
+    /// ties (the simulators' same-instant batches) dominate.
     #[test]
-    fn prop_equivalent_clustered(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut oracle: HeapEventQueue<u32> = HeapEventQueue::new();
-        let mut id = 0u32;
-        for op in &ops {
-            // Quantize times onto a handful of instants so ties dominate.
-            match *op {
-                Op::Push(t) => {
-                    let t = SimTime::from_ns((t % 7) * 50_000);
-                    cal.push(t, id);
-                    oracle.push(t, id);
-                    id += 1;
-                }
-                Op::Pop => { prop_assert_eq!(cal.pop(), oracle.pop()); }
-                Op::PopDue(now) => {
-                    let now = SimTime::from_ns((now % 7) * 50_000);
-                    prop_assert_eq!(cal.pop_due(now), oracle.pop_due(now));
-                }
-                Op::DrainDue(now) => {
-                    let now = SimTime::from_ns((now % 7) * 50_000);
-                    let (mut a, mut b) = (Vec::new(), Vec::new());
-                    prop_assert_eq!(cal.drain_due(now, &mut a), oracle.drain_due(now, &mut b));
-                    prop_assert_eq!(a, b);
-                }
-            }
-            prop_assert_eq!(cal.next_time(), oracle.next_time());
-        }
-        let a: Vec<(SimTime, u32)> = std::iter::from_fn(|| cal.pop()).collect();
-        let b: Vec<(SimTime, u32)> = std::iter::from_fn(|| oracle.pop()).collect();
-        prop_assert_eq!(a, b);
+    fn prop_matches_sorted_vec_model_clustered(
+        ops in proptest::collection::vec(op_strategy(), 1..300)
+    ) {
+        check_against_model(&ops, |t| SimTime::from_ns((t % 7) * 50_000));
     }
 }

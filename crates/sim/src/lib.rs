@@ -1,16 +1,15 @@
 //! Discrete-event simulation kernel shared by every simulator in the
 //! `nvdimm-hsm` workspace.
 //!
-//! This crate provides the four primitives that the DRAM, flash, cache and
+//! This crate provides the primitives that the DRAM, flash, cache and
 //! storage-management simulators are built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — an integer-nanosecond time base with
 //!   saturating arithmetic, so every component in the stack agrees on what
 //!   "now" means.
-//! * [`EventQueue`] — a deterministic time-ordered calendar queue (FIFO
+//! * [`EventQueue`] — a deterministic time-ordered binary-heap queue (FIFO
 //!   among events that share a timestamp), with batch drain of everything
-//!   due at a wake-up, property-tested against a binary-heap reference
-//!   queue.
+//!   due at a wake-up, property-tested against a sorted-`Vec` model.
 //! * [`SimRng`] — a small, seedable, `SplitMix64`-based random number
 //!   generator plus the distribution helpers the workload generators need
 //!   (exponential inter-arrivals, Zipfian skew, Bernoulli mixes).
