@@ -158,6 +158,12 @@ pub enum PlacementError {
         /// The tenant's total capacity quota, blocks.
         quota_blocks: u64,
     },
+    /// The tenant is already live: a second admission under its id would
+    /// orphan the first one's VMDKs.
+    TenantAlreadyAdmitted {
+        /// The live tenant's id.
+        tenant: u32,
+    },
 }
 
 impl std::fmt::Display for PlacementError {
@@ -179,6 +185,9 @@ impl std::fmt::Display for PlacementError {
                     "tenant {tenant} requested {requested_blocks} blocks past \
                      its {quota_blocks}-block quota"
                 )
+            }
+            PlacementError::TenantAlreadyAdmitted { tenant } => {
+                write!(f, "tenant {tenant} is already admitted")
             }
         }
     }

@@ -250,8 +250,14 @@ impl ServingSim {
 
     /// Admits a tenant: quota gate, then Eq. 4 placement of every VMDK.
     /// All-or-nothing — any failure rolls back and the ledgers are
-    /// untouched.
+    /// untouched. A tenant id that is still live is refused with
+    /// [`PlacementError::TenantAlreadyAdmitted`]; retire it first.
     pub fn admit_tenant(&mut self, spec: &TenantSpec) -> Result<(), PlacementError> {
+        if self.tenants.contains_key(&spec.tenant) {
+            return Err(PlacementError::TenantAlreadyAdmitted {
+                tenant: spec.tenant,
+            });
+        }
         let requested = spec.total_blocks();
         if requested > self.cfg.tenant_quota_blocks {
             self.report.rejected_quota += 1;

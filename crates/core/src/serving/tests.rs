@@ -70,6 +70,28 @@ fn retire_releases_every_block() {
 }
 
 #[test]
+fn a_live_tenant_cannot_be_admitted_twice() {
+    let mut sim = ServingSim::new(ServingConfig::small(2));
+    let mut s = spec(1, 0, 3_000, 60.0, 2000.0);
+    s.vmdks.push(s.vmdks[0]);
+    sim.admit_tenant(&s).unwrap();
+    let (stores, tenants) = (sim.store_usage(), sim.tenant_usage());
+    let err = sim.admit_tenant(&s).unwrap_err();
+    assert!(matches!(
+        err,
+        PlacementError::TenantAlreadyAdmitted { tenant: 1 }
+    ));
+    assert_eq!(sim.store_usage(), stores, "refusal touched the stores");
+    assert_eq!(sim.tenant_usage(), tenants, "refusal touched the tenants");
+    assert_eq!(sim.report().admitted, 1);
+    // Retiring the tenant must release every block it was granted, and
+    // the epoch after must find no VMDK without an owner.
+    assert!(sim.retire_tenant(1));
+    sim.run_epoch();
+    assert!(sim.store_usage().iter().all(|&(used, _)| used == 0));
+}
+
+#[test]
 fn slo_violation_traces_on_onset_only() {
     let sink = shared(RingSink::new(256));
     let mut sim = ServingSim::new(ServingConfig::small(1));

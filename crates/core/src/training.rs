@@ -17,6 +17,10 @@ use nvhsm_model::{Dataset, Features, PerfModel, Sample};
 use nvhsm_sim::{SimDuration, SimRng, SimTime};
 use nvhsm_workload::synthetic::training_grid;
 use nvhsm_workload::{GenOp, IoGenerator};
+use std::sync::OnceLock;
+
+/// The trained device kinds, in `kind_index` order.
+const KINDS: [DeviceKind; 3] = [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd];
 
 /// Dense index of a device kind into the per-kind tables below. The
 /// tables are plain arrays rather than maps: `predict_us` sits on the
@@ -138,6 +142,14 @@ impl ModelSourceStats {
             self.err_sum_us / self.err_count as f64
         }
     }
+}
+
+/// Per-block sequential streaming latency of `kind`'s scratch device, µs.
+/// The measurement reads only the fixed scratch configuration — no seed,
+/// no workload — so it runs once per process per kind, on first use.
+fn seq_block_us(kind: DeviceKind) -> f64 {
+    static SEQ_BLOCK_US: [OnceLock<f64>; 3] = [const { OnceLock::new() }; 3];
+    *SEQ_BLOCK_US[kind_index(kind)].get_or_init(|| measure_seq_block_us(kind))
 }
 
 /// Measures the per-block sequential streaming latency of a fresh device
@@ -290,7 +302,7 @@ fn train_kind(
         model,
         baseline_us: lat_lo.max(1.0),
         slope_us_per_oio: slope,
-        seq_block_us: measure_seq_block_us(kind),
+        seq_block_us: seq_block_us(kind),
     }
 }
 
@@ -304,7 +316,6 @@ fn train_kind(
 /// bit-identical whether the kinds run serially or on three workers —
 /// and identical to the original single-threaded implementation.
 pub fn pretrain_models(requests_per_point: usize, seed: u64) -> DeviceModels {
-    const KINDS: [DeviceKind; 3] = [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd];
     let mut rng = SimRng::new(seed);
     let grid_len = training_grid().len();
     let tasks: Vec<(DeviceKind, Vec<SimRng>)> = KINDS
@@ -350,6 +361,16 @@ mod tests {
         assert!(nv < ssd, "NVDIMM {nv} !< SSD {ssd}");
         assert!(ssd < hdd, "SSD {ssd} !< HDD {hdd}");
         assert!(hdd > 1_000.0, "HDD baseline {hdd} too fast");
+    }
+
+    #[test]
+    fn seq_block_calibration_matches_fresh_measurements() {
+        let m = pretrain_models(20, 3);
+        for kind in KINDS {
+            let fresh = measure_seq_block_us(kind);
+            assert_eq!(seq_block_us(kind).to_bits(), fresh.to_bits(), "{kind}");
+            assert_eq!(m.seq_block_us(kind).to_bits(), fresh.to_bits(), "{kind}");
+        }
     }
 
     #[test]

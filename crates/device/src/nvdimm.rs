@@ -411,9 +411,7 @@ impl StorageDevice for NvdimmDevice {
     }
 
     fn prefill(&mut self, blocks: std::ops::Range<u64>) {
-        for b in blocks {
-            self.flash.prefill(b);
-        }
+        self.flash.prefill(blocks);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

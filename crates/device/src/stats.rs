@@ -9,7 +9,7 @@
 
 use crate::io::{IoOp, IoRequest};
 use nvhsm_cache::AccessClass;
-use nvhsm_sim::{Histogram, OnlineStats, SimDuration, SimTime};
+use nvhsm_sim::{OnlineStats, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Rolling per-epoch accumulator kept inside each device.
@@ -33,7 +33,6 @@ pub struct DeviceStats {
     last_block: Vec<(u32, u64)>,
     migrated_ios: u64,
     lifetime: OnlineStats,
-    lifetime_hist: Histogram,
 }
 
 /// A closed epoch of device statistics.
@@ -77,7 +76,6 @@ impl DeviceStats {
             return;
         }
         self.lifetime.add(latency.as_us_f64());
-        self.lifetime_hist.add(latency.as_us_f64());
         let sequential = self
             .last_block
             .iter()
@@ -157,20 +155,10 @@ impl DeviceStats {
         self.lifetime.count()
     }
 
-    /// Latency percentile over the device lifetime, µs (`p` in [0, 100]).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `p` is outside `[0, 100]`.
-    pub fn lifetime_percentile_us(&self, p: f64) -> f64 {
-        self.lifetime_hist.percentile(p)
-    }
-
     /// Clears lifetime statistics (epoch counters and stream cursors are
     /// kept). Used to discard warm-up periods before measurement.
     pub fn reset_lifetime(&mut self) {
         self.lifetime = OnlineStats::new();
-        self.lifetime_hist = Histogram::new();
     }
 }
 
@@ -315,20 +303,6 @@ mod tests {
         let e = s.take_epoch(SimTime::from_ms(1));
         assert!((e.oio() - 100.0).abs() < 1.0, "oio {}", e.oio());
         assert!((e.iops() - 1e6).abs() < 1e3);
-    }
-
-    #[test]
-    fn lifetime_percentiles_track_distribution() {
-        let mut s = DeviceStats::new();
-        for i in 1..=100u64 {
-            s.record(&req(0, i * 13, 1, IoOp::Read), SimDuration::from_us(i * 10));
-        }
-        let p50 = s.lifetime_percentile_us(50.0);
-        let p99 = s.lifetime_percentile_us(99.0);
-        assert!((400.0..600.0).contains(&p50), "p50 {p50}");
-        assert!(p99 > 900.0, "p99 {p99}");
-        s.reset_lifetime();
-        assert_eq!(s.lifetime_percentile_us(50.0), 0.0);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 use crate::chip::{Chip, ChipOp};
 use crate::config::FlashConfig;
 use crate::ftl::{Lpn, PageFtl};
-use nvhsm_sim::{OnlineStats, SimDuration, SimTime};
+use nvhsm_sim::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// Kind of a completed flash operation, for accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,8 +41,6 @@ pub struct FlashDevice {
     channel_bus_free: Vec<SimTime>,
     /// `cfg.page_transfer_time()`, paid on every bus transfer.
     page_transfer: SimDuration,
-    write_latency: OnlineStats,
-    gc_stall_ns: u64,
 }
 
 impl FlashDevice {
@@ -62,8 +61,6 @@ impl FlashDevice {
             ftl,
             chips,
             channel_bus_free,
-            write_latency: OnlineStats::new(),
-            gc_stall_ns: 0,
         }
     }
 
@@ -125,7 +122,6 @@ impl FlashDevice {
         // Charge GC work serially on the chip ahead of the foreground
         // program.
         if outcome.gc.is_some() {
-            let before = self.chips[chip_idx].busy_until();
             for _ in 0..outcome.gc.moved_pages {
                 self.chips[chip_idx].execute(ChipOp::Read, now, &self.cfg);
                 self.chips[chip_idx].execute(ChipOp::Program, now, &self.cfg);
@@ -133,16 +129,14 @@ impl FlashDevice {
             for _ in 0..outcome.gc.erased_blocks {
                 self.chips[chip_idx].execute(ChipOp::Erase, now, &self.cfg);
             }
-            let after = self.chips[chip_idx].busy_until();
-            self.gc_stall_ns += (after.saturating_since(before)).as_ns();
         }
 
         // Host data crosses the channel bus into the chip register, then the
         // program runs on the chip.
         let xfer_done = self.bus_transfer(channel, now);
-        let grant = self.chips[chip_idx].execute(ChipOp::Program, xfer_done, &self.cfg);
-        self.write_latency.add((grant.done - now).as_ns() as f64);
-        grant.done
+        self.chips[chip_idx]
+            .execute(ChipOp::Program, xfer_done, &self.cfg)
+            .done
     }
 
     /// Drops the mapping for `lpn` without touching NAND (TRIM).
@@ -150,27 +144,21 @@ impl FlashDevice {
         self.ftl.trim(lpn);
     }
 
-    /// Installs content for `lpn` without charging simulation time — used
-    /// to lay down pre-existing data (e.g. a VMDK image) before a run, so
-    /// later reads exercise the real NAND path instead of the unmapped
-    /// fast path.
-    pub fn prefill(&mut self, lpn: Lpn) {
-        self.ftl.write(lpn);
+    /// Installs content for every lpn of `lpns` without charging
+    /// simulation time — used to lay down pre-existing data (e.g. a VMDK
+    /// image) before a run, so later reads exercise the real NAND path
+    /// instead of the unmapped fast path. See [`PageFtl::prefill`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches past the logical space.
+    pub fn prefill(&mut self, lpns: Range<Lpn>) {
+        self.ftl.prefill(lpns);
     }
 
     /// Fraction of the logical space not holding live data.
     pub fn free_space_ratio(&self) -> f64 {
         self.ftl.free_space_ratio()
-    }
-
-    /// Mean write latency observed, microseconds.
-    pub fn mean_write_latency_us(&self) -> f64 {
-        self.write_latency.mean() / 1_000.0
-    }
-
-    /// Cumulative chip time consumed by GC, nanoseconds.
-    pub fn gc_stall_ns(&self) -> u64 {
-        self.gc_stall_ns
     }
 
     /// Earliest instant every chip and bus is idle (drain horizon).
@@ -254,23 +242,23 @@ mod tests {
         let mut d = FlashDevice::new(cfg);
         let logical = d.ftl().logical_pages();
         let mut now = SimTime::ZERO;
-        // Fill the device fully.
-        for lpn in 0..logical {
-            now = d.write(lpn, now);
-        }
-        let before_gc_mean = d.mean_write_latency_us();
-        // Overwrite churn at ~0 free space triggers GC in the write path.
-        for _ in 0..2 {
+        // Mean latency of one write per lpn, each issued when the previous
+        // one completes, µs.
+        let mut pass = |d: &mut FlashDevice| {
+            let start = now;
             for lpn in 0..logical {
                 now = d.write(lpn, now);
             }
-        }
-        assert!(d.gc_stall_ns() > 0, "no GC stall recorded");
+            (now - start).as_us_f64() / logical as f64
+        };
+        // Fill the device fully.
+        let fill_mean = pass(&mut d);
+        // Overwrite churn at ~0 free space triggers GC in the write path.
+        let churn_mean = (pass(&mut d) + pass(&mut d)) / 2.0;
+        assert!(d.ftl().gc_runs() > 0, "no GC ran");
         assert!(
-            d.mean_write_latency_us() > before_gc_mean,
-            "write cliff missing: {} <= {}",
-            d.mean_write_latency_us(),
-            before_gc_mean
+            churn_mean > fill_mean,
+            "write cliff missing: {churn_mean} <= {fill_mean}"
         );
     }
 
