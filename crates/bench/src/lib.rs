@@ -4,8 +4,9 @@
 //! (`scripts/perf_gate.sh`) and the `BENCH_driver.json` snapshot
 //! (`scripts/bench_snapshot.sh`):
 //!
-//! * `driver` — the scenario-parallel driver and the per-request kernels
-//!   it leans on (event-queue drain, model prediction, the LRFU buffer
+//! * `driver` — the scenario-parallel driver, model pretraining (every
+//!   simulator's set-up) and the per-request kernels the driver leans on
+//!   (event-queue drain, model prediction, the LRFU buffer
 //!   cache, the bus-slowdown lookup table, report building, journal
 //!   replay, sharded placement), one full mix scenario, and grid
 //!   throughput at 1 vs all workers.
