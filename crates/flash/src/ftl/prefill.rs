@@ -9,7 +9,8 @@
 //! order and filled each in page order, so chip `c`'s `j`-th allocation is
 //! packed page `c · blocks_per_chip · pages_per_block + j`. A range of
 //! unmapped lpns that keeps every chip at or above the GC watermark is then
-//! laid out chip by chip in closed form. Anything else is written one
+//! laid out in closed form: the map in one pass in lpn order, the reverse
+//! map in one pass chip by chip. Anything else is written one
 //! [`PageFtl::write`] at a time.
 
 use super::{BlockState, Lpn, PageFtl, INVALID};
@@ -94,13 +95,23 @@ impl PageFtl {
         if !no_gc {
             return false;
         }
-        for (k, &(chip, j, m)) in plan.iter().enumerate() {
-            let first_page = chip * bpc * ppb + j;
-            for t in 0..m {
-                let lpn = start + k + t * chips;
-                let packed = first_page + t;
-                self.map[lpn] = packed as u32;
-                self.rmap[packed] = lpn as u32;
+        // Each table is written in its own order, so both are swept once:
+        // row `t` of `chips` consecutive lpns maps to every chip's first
+        // new page plus `t`, and chip `k`'s `m` new pages hold the lpns
+        // `start + k + t · chips`.
+        let firsts: Vec<u32> = plan
+            .iter()
+            .map(|&(chip, j, _)| (chip * bpc * ppb + j) as u32)
+            .collect();
+        for (t, row) in self.map[start..start + n].chunks_mut(chips).enumerate() {
+            for (slot, &first) in row.iter_mut().zip(&firsts) {
+                *slot = first + t as u32;
+            }
+        }
+        for (k, (&(chip, j, m), &first)) in plan.iter().zip(&firsts).enumerate() {
+            let first = first as usize;
+            for (t, slot) in self.rmap[first..first + m].iter_mut().enumerate() {
+                *slot = (start + k + t * chips) as u32;
             }
             let end = j + m;
             for block in j / ppb..opened(end) {
@@ -237,6 +248,51 @@ mod tests {
         assert_eq!(bulk, paged);
         assert_eq!(bulk.gc_runs(), 0);
         bulk.check_invariants().unwrap();
+    }
+
+    /// Field-by-field equality. `assert_eq!` on the whole FTL would print
+    /// tables of a million entries on failure; this names the field and,
+    /// for the two maps, the first index that differs.
+    fn assert_same(bulk: &PageFtl, paged: &PageFtl, what: &str) {
+        let first_diff = |a: &[u32], b: &[u32]| a.iter().zip(b).position(|(x, y)| x != y);
+        assert_eq!(first_diff(&bulk.map, &paged.map), None, "{what}: map");
+        assert_eq!(first_diff(&bulk.rmap, &paged.rmap), None, "{what}: rmap");
+        let counters = |f: &PageFtl| (f.next_chip, f.live_pages, f.gc_runs, f.gc_moved);
+        assert_eq!(counters(bulk), counters(paged), "{what}: counters");
+        assert_eq!(bulk.open, paged.open, "{what}: open blocks");
+        for (field, same) in [
+            ("valid counts", bulk.block_valid == paged.block_valid),
+            ("block states", bulk.block_state == paged.block_state),
+            ("free stacks", bulk.free_blocks == paged.free_blocks),
+            ("erase counts", bulk.erase_counts == paged.erase_counts),
+            ("another field", bulk == paged),
+        ] {
+            assert!(same, "{what}: {field}");
+        }
+    }
+
+    #[test]
+    fn pretraining_geometries_match_per_page_writes() {
+        // The scratch NVDIMM's 1 GiB and the scratch SSD's 2 GiB: 64 chips,
+        // 128 pages per block, 32 and 64 blocks per chip.
+        for gib in [1, 2] {
+            let pristine = PageFtl::new(&FlashConfig::with_capacity_gib(gib));
+            let logical = pristine.logical_pages();
+            for fill in [0.2, 0.9] {
+                let filled = (logical as f64 * fill) as u64;
+                let (bulk, paged) = bulk_and_paged(&pristine, 0..filled);
+                assert_same(&bulk, &paged, &format!("{gib} GiB, {fill} fill"));
+                assert_eq!(bulk.gc_runs(), 0);
+                bulk.check_invariants().unwrap();
+            }
+            // 37 chips one page ahead of the rest, then 1,562 rows of 64
+            // lpns and 31 more.
+            let mut stepped = pristine;
+            replay(&mut stepped, &vec![Op::Churn(logical - 1, 1); 37]);
+            let (bulk, paged) = bulk_and_paged(&stepped, 33_333..133_332);
+            assert_same(&bulk, &paged, &format!("{gib} GiB, odd range"));
+            bulk.check_invariants().unwrap();
+        }
     }
 
     #[test]
