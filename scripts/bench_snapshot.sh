@@ -56,8 +56,9 @@ grid_16_jobs_all vs grid_16_jobs1 and the end_to_end speedup scale with `cores`;
 single_scenario_quick_8sim_s covers 8 simulated seconds: ns_per_iter / 8000 = ns per simulated millisecond.
 event_queue_ready_10 runs the NodeSim wake-up shape on the binary-heap event queue that ships: ten pending wake-ups, each re-armed at an exponential 1 ms gap once it drains, 4,096 next_time + drain_due wake-ups per iteration (DESIGN.md section 13).
 pretrain_models_40 is one serial pretrain_models(40, 7) call with the jobs override at 1: the quick-scale training that every NodeSim and ServingSim runs in set-up. The process's one-time sequential-read calibration runs before timing starts (DESIGN.md section 13).
+ftl_prefill_2gib_90 is the largest fill pretraining does: a fresh PageFtl at FlashConfig::with_capacity_gib(2), the scratch SSD's geometry, prefilled to 90 %; each iteration allocates the tables, lays the range out and drops them (DESIGN.md section 13).
 predict_online_64x8 runs the same 64 probes as predict_uncached_64x8 through OnlineModels with a fitted residual correction installed (base walk + flattened constant-leaf correction walk); the gap between the two rows is the correction walk (DESIGN.md section 16).
-The before sides of the bus-slowdown LUT and O(1) report-build optimizations (bus_slowdown_exact_1k and report_build_deepcopy), the binary-heap event-queue rows (*_heap) and the 1,024-event rows of the calendar queue (event_queue_pop_due_1k, event_queue_drain_due_1k, event_queue_peek_then_pop_1k) ran code or schedules no simulation runs, so they were retired; their last medians are in history[1] and history[5].
+The before sides of the bus-slowdown LUT and O(1) report-build optimizations (bus_slowdown_exact_1k and report_build_deepcopy), the binary-heap event-queue rows (*_heap) and the 1,024-event rows of the calendar queue (event_queue_pop_due_1k, event_queue_drain_due_1k, event_queue_peek_then_pop_1k) ran code or schedules no simulation runs, so they were retired; their last medians are in history[2] and history[6].
 cache_hit_64x8, cache_bypass_64x8, lrfu_miss_4k and lrfu_hit_102k run the LRFU buffer cache: a warm hit with all 64 blocks inside the victim window (full CRF touch and window re-insert), a migrated-class residency probe, a miss that evicts the window minimum and admits, and paper-scale (102,400-block) Zipf hits, over 90 % of accesses, that mostly land outside the window (DESIGN.md sections 13 and 17).
 history holds before/after medians of optimizations whose before-side code is gone (so no bench row can run it) and the last medians of retired rows; each entry names its host. bench_snapshot.sh carries it over unchanged.
 datapath/local_bare is one virtual second of the three-VMDK bench node (nvhsm_bench::bench_node) under BCA+lazy, seed 7: compare across commits to track the staged pipeline. local_instrumented adds fault gate + null trace + metrics; remote_mirror adds the stage-3 NIC hops.

@@ -12,10 +12,10 @@
 #           ms-per-iter datapath macro benches): advisory on the 1-core
 #           CI host — over budget prints a warning, never a failure.
 #
-# Repeat/warmup semantics: the criterion harness calibrates an iteration
-# count during an untimed warmup, then times 10 samples and reports the
-# median, so one gate run already discards warmup and repeats >= 5 times
-# per bench.
+# Repeat/warmup semantics: the criterion harness sizes the iterations per
+# sample from the median of three untimed one-iteration calls, rounded to
+# the 1-2-5 series, then times 10 samples and reports the median, so one
+# gate run already discards warmup and repeats >= 5 times per bench.
 #
 # Usage:
 #   scripts/perf_gate.sh                  run the gate
